@@ -38,7 +38,8 @@ def main() -> None:
     # LUT network / random forest portfolio), resolved through the
     # flow registry.  ``run_detailed`` also returns the candidate
     # table: every circuit the flow's stages proposed, not just the
-    # winner.
+    # winner.  Only candidates that could still win are compressed;
+    # the others show their size before compression.
     flow = get_flow("team01")
     print(f"flow stages:   {', '.join(flow.stage_names)}")
     result = flow.run_detailed(problem, effort="small")
@@ -46,8 +47,9 @@ def main() -> None:
     score = evaluate_solution(problem, solution)
 
     for candidate in result.candidates:
+        state = "finalized" if candidate.finalized else "uncompressed"
         print(f"  candidate {candidate.name:20s} "
-              f"[{candidate.stage}] {candidate.num_ands} ANDs")
+              f"[{candidate.stage}] {candidate.num_ands} ANDs ({state})")
     print(f"method:        {solution.method}")
     print(f"test accuracy: {score.test_accuracy:.4f}")
     print(f"AND nodes:     {score.num_ands} (cap 5000, "

@@ -8,7 +8,7 @@ is a first-class, declarative object instead of an ad-hoc module-level
     A named pipeline with metadata (team, paper techniques, effort
     grids as data) composed of :class:`Stage`\\ s.  Stages emit a
     stream of :class:`Candidate` circuits into the shared
-    ``finalize_aig``/``pick_best`` funnel; a stage may instead
+    ``defer_finalize``/``pick_best`` funnel; a stage may instead
     short-circuit the whole flow by returning a finished
     :class:`~repro.contest.problem.Solution` (e.g. an exact standard-
     function match).  ``Flow.run`` keeps the historical contract
@@ -45,9 +45,13 @@ import numpy as np
 from repro.aig.aig import AIG
 from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
 from repro.flows.common import (
+    Deferred,
     constant_solution,
-    finalize_aig,
+    current,
+    defer_finalize,
     flow_rng,
+    force,
+    is_finalized,
     pick_best,
 )
 from repro.ml.dataset import Dataset
@@ -77,10 +81,14 @@ class Candidate:
     ``provenance`` is free-form bookkeeping (hyper-parameters, CV
     scores, member lists); single-candidate flows promote it verbatim
     into the Solution metadata.  ``stage`` is stamped by ``Flow.run``.
+    Stages emit plain AIGs; after finalization ``aig`` may be a
+    :class:`~repro.flows.common.Deferred` whose exact pass has not run
+    (selectors call :func:`~repro.flows.common.force` on what they
+    keep).
     """
 
     name: str
-    aig: AIG
+    aig: AIG | Deferred
     provenance: Mapping[str, object] = field(default_factory=dict)
     stage: str | None = None
 
@@ -262,20 +270,27 @@ class FinalizeSpec:
     ``(AIG) -> bool`` (Team 5/6 skip the expensive passes above 4000
     nodes).  Flows that interleave finalization with training (Teams 4
     and 6) set ``Flow.finalize=None`` and finalize inside the stage.
+
+    ``Flow.run`` calls :meth:`defer`: over-cap candidates are finalized
+    in place, in-cap ones are left to the selector to force.
+    :meth:`apply` is the eager form.
     """
 
     max_nodes: int = MAX_AND_NODES
     optimize: bool | Callable[[AIG], bool] = True
     optimize_limit: int = 20000
 
-    def apply(self, aig: AIG, rng: np.random.Generator) -> AIG:
+    def defer(self, aig: AIG, rng: np.random.Generator) -> AIG | Deferred:
         optimize = self.optimize
         if callable(optimize):
             optimize = optimize(aig)
-        return finalize_aig(
+        return defer_finalize(
             aig, rng, max_nodes=self.max_nodes, optimize=optimize,
             optimize_limit=self.optimize_limit,
         )
+
+    def apply(self, aig: AIG, rng: np.random.Generator) -> AIG:
+        return force(self.defer(aig, rng))
 
 
 def select_best_validation(ctx: FlowContext) -> Solution:
@@ -293,8 +308,8 @@ def select_best_validation(ctx: FlowContext) -> Solution:
 
 def select_sole_candidate(ctx: FlowContext) -> Solution:
     """Exit for single-candidate flows (Teams 2/3/7/10): the one
-    emitted candidate wins outright and its provenance becomes the
-    Solution metadata."""
+    emitted candidate wins outright (forced) and its provenance
+    becomes the Solution metadata."""
     if len(ctx.candidates) != 1:
         raise ValueError(
             f"flow {ctx.flow.name!r} uses select_sole_candidate but "
@@ -302,7 +317,7 @@ def select_sole_candidate(ctx: FlowContext) -> Solution:
         )
     cand = ctx.candidates[0]
     return Solution(
-        aig=cand.aig,
+        aig=force(cand.aig),
         method=f"{ctx.flow.name}:{cand.name}",
         metadata=dict(cand.provenance),
     )
@@ -324,12 +339,19 @@ def default_package(ctx: FlowContext, name: str, aig: AIG,
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One row of a FlowResult's candidate table."""
+    """One row of a FlowResult's candidate table.
+
+    ``num_ands`` is the used-AND count of the circuit as the flow left
+    it: the finalized size when ``finalized`` (the winner, its ties at
+    the top accuracy, over-cap candidates), else the cone's size before
+    the skipped exact pass.
+    """
 
     name: str
     stage: str | None
     num_ands: int
     provenance: Mapping[str, object]
+    finalized: bool
 
 
 @dataclass(frozen=True)
@@ -358,10 +380,11 @@ class Flow:
     a stage tuple plus (optionally) a finalize spec and a selector.
     Execution (:meth:`run`) is the uniform engine: resolve the effort
     grid, seed the RNG stream, run stages (a stage returning a Solution
-    short-circuits), finalize the candidate stream in emission order,
-    select.  Instances are callable with the historical module
-    contract, so a ``Flow`` drops in anywhere a ``run()`` function was
-    accepted.
+    short-circuits), finalize the candidate stream in emission order
+    (deferring the exact pass of in-cap candidates), select (forcing
+    only the candidates that can still win).  Instances are callable
+    with the historical module contract, so a ``Flow`` drops in
+    anywhere a ``run()`` function was accepted.
     """
 
     def __init__(
@@ -476,7 +499,7 @@ class Flow:
                 ctx.candidates = [
                     Candidate(
                         c.name,
-                        self.finalize.apply(c.aig, ctx.rng),
+                        self.finalize.defer(c.aig, ctx.rng),
                         c.provenance,
                         c.stage,
                     )
@@ -492,8 +515,9 @@ class Flow:
                 CandidateRecord(
                     name=c.name,
                     stage=c.stage,
-                    num_ands=c.aig.count_used_ands(),
+                    num_ands=current(c.aig).count_used_ands(),
                     provenance=dict(c.provenance),
+                    finalized=is_finalized(c.aig),
                 )
                 for c in ctx.candidates
             ),

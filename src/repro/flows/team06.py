@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import Candidate, Flow, FlowContext, Stage
-from repro.flows.common import finalize_aig
+from repro.flows.common import defer_finalize
 from repro.flows.registry import register
 from repro.ml.lutnet import LUTNetwork
 from repro.synth.from_lutnet import lutnet_to_aig
@@ -21,7 +21,8 @@ from repro.synth.from_lutnet import lutnet_to_aig
 def _lut_sweep_stage(ctx: FlowContext) -> list[Candidate]:
     """Sweep scheme x arity x shape; candidates are finalized inline
     (the RNG stream interleaves training and finalization, as the
-    original flow did)."""
+    original flow did; in-cap candidates defer their exact pass to
+    selection)."""
     params, rng, problem = ctx.params, ctx.rng, ctx.problem
     out: list[Candidate] = []
     for scheme in params["schemes"]:
@@ -36,7 +37,8 @@ def _lut_sweep_stage(ctx: FlowContext) -> list[Candidate]:
                 )
                 net.fit(problem.train.X, problem.train.y)
                 aig = lutnet_to_aig(net)
-                aig = finalize_aig(aig, rng, optimize=aig.num_ands < 4000)
+                aig = defer_finalize(aig, rng,
+                                     optimize=aig.num_ands < 4000)
                 out.append(Candidate(
                     f"lutnet[{scheme},k={lut_size},{layers}x{width}]", aig
                 ))

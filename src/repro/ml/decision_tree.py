@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
@@ -350,5 +350,7 @@ def _pessimistic_errors(n: int, errors: int, cf: float) -> float:
         return 0.0
     if errors >= n:
         return float(n)
-    upper = stats.beta.ppf(1 - cf, errors + 1, n - errors)
+    # The beta quantile, called directly: ``scipy.stats.beta.ppf``
+    # wraps the same function at ~25x the per-call cost.
+    upper = betaincinv(errors + 1, n - errors, 1 - cf)
     return float(n * upper)

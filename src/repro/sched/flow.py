@@ -21,8 +21,9 @@ skip the learned loop above ``optimize_limit`` nodes in favour of a
 single ``balance``, approximate down to the contest node cap and
 re-schedule) so the learned flows obey the same legality rules as
 every team flow.  :func:`fixed_twin` builds the unregistered
-control flow — identical candidates, classic ``compress`` finalize —
-that ``bench_sched.py`` races the learned flows against.
+control flow — identical candidates, classic ``compress`` finalize of
+every one of them — that ``bench_sched.py`` races the learned flows
+against.
 
 Determinism: tree training is exact, the packaged policy is a
 committed artifact, and bandit exploration draws only from the flow's
@@ -47,6 +48,7 @@ from repro.flows.api import (
     FlowResult,
     Stage,
 )
+from repro.flows.common import finalize_aig
 from repro.flows.registry import register
 from repro.ml.decision_tree import DecisionTree
 from repro.sched.policy import EpsilonGreedyBandit, default_policy
@@ -236,12 +238,25 @@ GREEDY_FLOW = register(SchedFlow(
 ))
 
 
+def _finalize_every_stage(ctx: FlowContext) -> None:
+    """Eager ``finalize_aig`` of every candidate, in emission order.
+
+    The default funnel only compresses candidates that can still win;
+    the twin's per-candidate sizes are what ``bench_sched.py``
+    compares, so every one of them must be compressed."""
+    ctx.candidates[:] = [
+        Candidate(c.name, finalize_aig(c.aig, ctx.rng), c.provenance,
+                  c.stage)
+        for c in ctx.candidates
+    ]
+
+
 def fixed_twin() -> Flow:
     """The unregistered control: identical candidates, classic
-    ``compress`` finalize — what ``bench_sched.py`` compares the
-    learned flows against at (provably) equal accuracy: every palette
-    pass is exact, so twin candidates compute identical functions and
-    only sizes differ."""
+    ``compress`` finalize of every candidate — what ``bench_sched.py``
+    compares the learned flows against at (provably) equal accuracy:
+    every palette pass is exact, so twin candidates compute identical
+    functions and only sizes differ."""
     return Flow(
         "fixed-compress",
         team="sched",
@@ -252,6 +267,8 @@ def fixed_twin() -> Flow:
         stages=(
             Stage("candidates", _tree_candidates_stage,
                   "decision trees at several leaf granularities"),
+            Stage("finalize", _finalize_every_stage,
+                  "classic compress finalize of every candidate"),
         ),
-        finalize=FinalizeSpec(),
+        finalize=None,
     )

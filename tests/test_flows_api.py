@@ -381,8 +381,42 @@ class TestFlowResult:
         [record] = detailed.candidates
         assert record.name == "dt8"
         assert record.stage == "dt8"
+        assert record.finalized
         assert record.num_ands == detailed.solution.aig.count_used_ands()
         assert "leaves" in record.provenance
+
+    def test_candidate_table_marks_forced_rows(self, small_problem):
+        """Only the winner is compressed: its row carries the finalized
+        size, the loser's row its pre-compress cone size."""
+        valid = small_problem.valid
+        hits = (valid.X == valid.y[:, None]).sum(axis=0)
+        good, bad = int(np.argmax(hits)), int(np.argmin(hits))
+        assert hits[good] > hits[bad]
+
+        def redundant(n_inputs, col):
+            # (x & i) | (x & ~i) == x with i another input: 3 ANDs
+            # that compress collapses to 0.
+            aig = AIG(n_inputs)
+            x, i = aig.input_lit(col), aig.input_lit(1 - min(col, 1))
+            aig.set_output(aig.add_or(aig.add_and(x, i),
+                                      aig.add_and(x, i ^ 1)))
+            return aig
+
+        def stage(ctx):
+            n = ctx.problem.n_inputs
+            return [Candidate("bad", redundant(n, bad)),
+                    Candidate("good", redundant(n, good))]
+
+        flow = Flow("lazy-table", team="test", efforts={"small": {}},
+                    stages=(Stage("emit", stage),))
+        result = flow.run_detailed(small_problem)
+        rows = {r.name: r for r in result.candidates}
+        assert result.solution.method == "lazy-table:good"
+        assert rows["good"].finalized
+        assert rows["good"].num_ands == 0
+        assert rows["good"].num_ands == result.solution.aig.count_used_ands()
+        assert not rows["bad"].finalized
+        assert rows["bad"].num_ands == 3
 
     def test_candidate_table_covers_all_stages(self):
         from repro.contest import build_suite, make_problem

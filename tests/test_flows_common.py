@@ -5,9 +5,12 @@ import pytest
 
 from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.build import multiplier
+from repro.flows import common
 from repro.flows.common import (
+    Deferred,
     aig_accuracy,
     constant_solution,
+    defer_finalize,
     finalize_aig,
     flow_rng,
     pick_best,
@@ -113,10 +116,10 @@ class TestPickBest:
         assert pick_best([], data) is None
 
 
-def _redundant_aig():
+def _redundant_aig(n_inputs=4):
     """(i1 & i0) | (i1 & ~i0) == i1: 3 AND nodes that ``compress``
     collapses to 0 but ``balance`` (pure reassociation) keeps."""
-    aig = AIG(4)
+    aig = AIG(n_inputs)
     i0, i1 = aig.input_lit(0), aig.input_lit(1)
     aig.set_output(aig.add_or(aig.add_and(i1, i0), aig.add_and(i1, i0 ^ 1)))
     return aig
@@ -194,6 +197,124 @@ class TestFinalize:
         aig = _passthrough_aig(4, 2)
         out = finalize_aig(aig, rng)
         assert out.truth_tables() == aig.truth_tables()
+
+
+def _and3_aig(n_inputs):
+    """i0 & i1 & i2: two AND nodes that ``compress`` cannot shrink."""
+    aig = AIG(n_inputs)
+    i0, i1, i2 = aig.input_lit(0), aig.input_lit(1), aig.input_lit(2)
+    aig.set_output(aig.add_and(aig.add_and(i0, i1), i2))
+    return aig
+
+
+def _over_cap_aig():
+    """Bit 5 of a 6x6 multiplier: 117 used ANDs, 113 after compress."""
+    aig = AIG(12)
+    lits = aig.input_lits()
+    aig.set_output(multiplier(aig, lits[:6], lits[6:])[5])
+    return aig
+
+
+class TestLazyFinalize:
+    """``defer_finalize`` + ``pick_best`` against the eager funnel
+    (``finalize_aig`` on every candidate, then ``pick_best``)."""
+
+    CAP = 60  # below the over-cap circuit, above every other one
+
+    @pytest.fixture
+    def implied(self, rng):
+        # Rows where i1 implies i0 and i2: on them i0 & i1 & i2 == i1,
+        # so _and3_aig and _redundant_aig tie at accuracy 1.0.
+        X = rng.integers(0, 2, size=(200, 4)).astype(np.uint8)
+        X[X[:, 1] == 1, 0] = 1
+        X[X[:, 1] == 1, 2] = 1
+        return Dataset(X, X[:, 1])
+
+    def _both(self, named, data, seed=7, max_nodes=CAP):
+        eager_rng = np.random.default_rng(seed)
+        lazy_rng = np.random.default_rng(seed)
+        eager = [(name, finalize_aig(aig, eager_rng, max_nodes=max_nodes))
+                 for name, aig in named]
+        lazy = [(name, defer_finalize(aig, lazy_rng, max_nodes=max_nodes))
+                for name, aig in named]
+        return (pick_best(eager, data), pick_best(lazy, data), lazy,
+                eager_rng, lazy_rng)
+
+    def test_later_tie_that_compresses_smaller_wins(self, implied):
+        named = [("and3", _and3_aig(4)), ("redundant", _redundant_aig())]
+        eager, lazy, deferred, _, _ = self._both(named, implied)
+        # By cone size the earlier candidate would win (2 < 3 ANDs);
+        # forced, the later one is smaller (0 < 2).
+        assert [aig.cone.num_ands for _, aig in deferred] == [2, 3]
+        assert eager[0] == lazy[0] == "redundant"
+        assert eager[2] == lazy[2] == 1.0
+        assert lazy[1].num_ands == eager[1].num_ands == 0
+        assert lazy[1].truth_tables() == eager[1].truth_tables()
+
+    def test_full_tie_keeps_emission_order(self, data):
+        # Both finalize to 0 ANDs at accuracy 1.0; the earlier one
+        # wins even though its cone is the larger.
+        named = [("redundant", _redundant_aig()),
+                 ("plain", _passthrough_aig(4, 1))]
+        eager, lazy, _, _, _ = self._both(named, data)
+        assert eager[0] == lazy[0] == "redundant"
+        assert lazy[1].num_ands == eager[1].num_ands == 0
+
+    def test_over_cap_candidate_keeps_rng_draws(self, rng):
+        X = rng.integers(0, 2, size=(200, 12)).astype(np.uint8)
+        data = Dataset(X, X[:, 1])
+        named = [("redundant", _redundant_aig(12)),
+                 ("over-cap", _over_cap_aig()),
+                 ("const", _const_aig(12, 0))]
+        eager, lazy, deferred, eager_rng, lazy_rng = self._both(named, data)
+        assert (lazy_rng.bit_generator.state
+                == eager_rng.bit_generator.state)
+        over_cap = deferred[1][1]
+        assert not isinstance(over_cap, Deferred)  # finalized at once
+        assert over_cap.num_ands <= self.CAP
+        reference = finalize_aig(_over_cap_aig(), np.random.default_rng(7),
+                                 max_nodes=self.CAP)
+        assert over_cap.truth_tables() == reference.truth_tables()
+        assert eager[0] == lazy[0] == "redundant"
+
+    def test_compress_runs_only_where_it_can_matter(self, rng, monkeypatch):
+        X = rng.integers(0, 2, size=(200, 12)).astype(np.uint8)
+        data = Dataset(X, X[:, 1])
+        seen = []
+        real = common.compress
+
+        def counting(aig, *args, **kwargs):
+            seen.append(aig)
+            return real(aig, *args, **kwargs)
+
+        monkeypatch.setattr(common, "compress", counting)
+        named = [("low", _and3_aig(12)),
+                 ("over-cap", _over_cap_aig()),
+                 ("top-a", _redundant_aig(12)),
+                 ("top-b", _passthrough_aig(12, 1))]
+        deferred = [(name, defer_finalize(aig, np.random.default_rng(7),
+                                          max_nodes=self.CAP))
+                    for name, aig in named]
+        # Over-cap: compress, approximate, compress again.
+        assert len(seen) == 2
+        best = pick_best(deferred, data)
+        assert best[0] == "top-a" and best[2] == 1.0
+        # Then only the two candidates tied at the top accuracy.
+        assert len(seen) == 4
+        assert seen[2] is deferred[2][1].cone
+        assert seen[3] is deferred[3][1].cone
+        low = deferred[0][1]
+        assert isinstance(low, Deferred) and not low.finalized
+
+    def test_cone_over_pick_best_cap_is_forced_for_legality(self, data):
+        # Deferred under the finalize cap but over pick_best's: legality
+        # is decided on the finalized size, as in the eager funnel.
+        named = [("const", _const_aig(4, 0)), ("redundant", _redundant_aig())]
+        deferred = [(name, defer_finalize(aig, np.random.default_rng(0)))
+                    for name, aig in named]
+        best = pick_best(deferred, data, max_nodes=2)
+        assert best[0] == "redundant" and best[1].num_ands == 0
+        assert deferred[1][1].finalized
 
 
 class TestPortfolioFallback:
