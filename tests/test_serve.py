@@ -437,6 +437,14 @@ def test_http_rejects_non_binary_rows(served):
         served, "POST", "/predict/ex74", json.dumps({"row": [-1] * 16})
     )
     assert status == 400
+    # Values past the uint8 range must not wrap (256 -> 0, 257 -> 1)
+    # into a prediction for different bits.
+    for value in (256, 257):
+        status, body = _request(
+            served, "POST", "/predict/ex74",
+            json.dumps({"rows": [[value] * 16]}),
+        )
+        assert status == 400 and "0/1" in body["error"], value
     # Fractional JSON floats are rejected, never truncated to 0.
     status, body = _request(
         served, "POST", "/predict/ex74", json.dumps({"row": [0.9] * 16})
@@ -933,8 +941,8 @@ def test_refresh_evicts_stale_compiled_entry(tmp_path):
 
 def test_worker_pool_bit_identity(model_store, run_store_dir):
     """A pool worker rebuilds from the AIGER text and returns outputs
-    bit-identical to in-process evaluation (same text, same backend)."""
-    with WorkerPool(1, sim_backend=model_store.sim_backend) as pool:
+    bit-identical to in-process evaluation (same text, same engine)."""
+    with WorkerPool(1) as pool:
         pool.warm_up(timeout=120)
         for name in model_store.names():
             bundle = model_store.bundle(name)

@@ -3,9 +3,12 @@
 The engine must be bit-exact with the seed per-node simulation loop
 (kept as ``reference_simulate_packed_all``); the property test drives
 randomized AIGs with varied input counts, complemented and constant
-outputs, and sample counts on and off the 64-bit word boundary.
+outputs, and sample counts on and off the 64-bit word boundary, and
+the adversarial chain shape and the reused value arena are checked
+against the same oracle.
 """
 
+import pickle
 import random
 
 import numpy as np
@@ -16,12 +19,16 @@ from repro.aig.aig import AIG, CONST0, CONST1, lit_var
 from repro.contest.evaluate import evaluate_solution, evaluate_solutions
 from repro.contest.problem import Solution
 from repro.sim import (
+    CompiledAIG,
+    SimProgram,
     compile_aig,
     output_predictions,
     reference_simulate_packed_all,
     simulate_circuits,
     simulate_datasets,
+    simulate_rows_grouped,
 )
+from repro.sim.program import _levelize
 from repro.utils.bitops import pack_bits, unpack_bits
 
 
@@ -38,6 +45,32 @@ def build_random_aig(n_inputs, n_nodes, seed, n_outputs=3):
     for _ in range(n_outputs):
         aig.set_output(rnd.choice(pool) ^ rnd.randint(0, 1))
     return aig
+
+
+def build_chain_aig(n_nodes):
+    """A pure AND chain: depth == n_nodes, one node per level — the
+    adversarial shape for the Jacobi levelizer."""
+    aig = AIG(2)
+    lit = aig.input_lit(0)
+    for i in range(n_nodes):
+        lit = aig.add_and(lit, aig.input_lit(1) ^ (i & 1))
+    aig.set_output(lit)
+    return aig
+
+
+def random_packed(n_inputs, n_words, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(
+        0, 2**63, size=(n_inputs, n_words), dtype=np.int64
+    ).astype(np.uint64)
+
+
+def _levelize_stats(aig):
+    f0 = np.asarray(aig._fanin0, dtype=np.int64)
+    f1 = np.asarray(aig._fanin1, dtype=np.int64)
+    stats = {}
+    lv = _levelize(aig.n_inputs, f0 >> 1, f1 >> 1, _stats=stats)
+    return lv, stats
 
 
 def reference_outputs(aig, packed):
@@ -113,8 +146,76 @@ class TestEngineBitExact:
 
     def test_wrong_input_rows_raises(self):
         aig = build_random_aig(4, 10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 4 input rows"):
             aig.simulate_packed_all(np.zeros((3, 1), dtype=np.uint64))
+        # A sample matrix is named by its columns, not the packed rows.
+        three = build_random_aig(3, 10, 0)
+        samples = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="expected 3 input columns, got 4"):
+            three.simulate(samples)
+        with pytest.raises(ValueError, match="expected 3 input columns, got 4"):
+            compile_aig(three).run(samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_inputs=st.integers(min_value=1, max_value=12),
+        n_nodes=st.integers(min_value=0, max_value=200),
+        seed=st.integers(min_value=0, max_value=10**6),
+        n_words=st.integers(min_value=1, max_value=5),
+    )
+    def test_run_packed_all_byte_identical(
+        self, n_inputs, n_nodes, seed, n_words
+    ):
+        aig = build_random_aig(n_inputs, n_nodes, seed)
+        compiled = CompiledAIG(SimProgram(aig))
+        packed = random_packed(n_inputs, n_words, seed)
+        ref = reference_simulate_packed_all(aig, packed)
+        assert compiled.run_packed_all(packed).tobytes() == ref.tobytes()
+        ref_out = reference_outputs(aig, packed)
+        assert compiled.run_packed(packed).tobytes() == ref_out.tobytes()
+
+    @pytest.mark.parametrize("n_nodes", [5000])
+    def test_chain_shape_byte_identical(self, n_nodes):
+        aig = build_chain_aig(n_nodes)
+        compiled = compile_aig(aig)
+        assert compiled.depth == n_nodes
+        packed = random_packed(2, 3, seed=n_nodes)
+        ref = reference_simulate_packed_all(aig, packed)
+        assert compiled.run_packed_all(packed).tobytes() == ref.tobytes()
+
+    def test_results_are_owned_copies(self):
+        # The engine reuses its arena, so it must hand out copies: a
+        # result held across a later run (or mutated by the caller)
+        # must not alias the internal buffers.
+        aig = build_random_aig(6, 80, 13)
+        compiled = compile_aig(aig)
+        packed = random_packed(6, 2, 13)
+        first = compiled.run_packed_all(packed)
+        snapshot = first.copy()
+        assert snapshot.tobytes() == \
+            reference_simulate_packed_all(aig, packed).tobytes()
+        second = compiled.run_packed_all(packed)
+        first[:] = 0  # caller scribbles on its result
+        assert second.tobytes() == snapshot.tobytes()
+        assert compiled.run_packed_all(packed).tobytes() == \
+            snapshot.tobytes()
+
+    def test_arena_resizes_across_word_counts(self):
+        aig = build_random_aig(8, 100, 21)
+        compiled = compile_aig(aig)
+        for n_words in (3, 1, 5, 3):
+            packed = random_packed(8, n_words, n_words)
+            ref = reference_simulate_packed_all(aig, packed)
+            out = compiled.run_packed_all(packed)
+            assert out.tobytes() == ref.tobytes(), n_words
+
+    def test_program_pickles(self):
+        aig = build_random_aig(6, 70, 8)
+        clone = pickle.loads(pickle.dumps(SimProgram(aig)))
+        packed = random_packed(6, 2, 8)
+        ref = reference_simulate_packed_all(aig, packed)
+        out = CompiledAIG(clone).run_packed_all(packed)
+        assert out.tobytes() == ref.tobytes()
 
 
 class TestCompileCache:
@@ -172,6 +273,90 @@ class TestBatch:
         for aig, p in zip(aigs, preds, strict=True):
             assert np.array_equal(p, aig.simulate(X)[:, 0])
         assert simulate_circuits([], X) == []
+
+    def test_simulate_datasets_matches_seed(self):
+        aig = build_random_aig(7, 120, 3)
+        rng = np.random.default_rng(3)
+        mats = [
+            rng.integers(0, 2, size=(n, 7)).astype(np.uint8)
+            for n in (1, 63, 64, 65, 200)
+        ]
+        got = simulate_datasets(aig, mats)
+        for m, out in zip(mats, got, strict=True):
+            ref = reference_outputs(aig, pack_bits(m))
+            expect = unpack_bits(ref, m.shape[0])
+            assert out.tobytes() == expect.tobytes()
+
+    def test_simulate_circuits_matches_seed(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 2, size=(150, 6)).astype(np.uint8)
+        packed = pack_bits(X)
+        aigs = [
+            build_random_aig(6, n, seed=n, n_outputs=1)
+            for n in (0, 15, 90)
+        ]
+        got = simulate_circuits(aigs, X)
+        preds = output_predictions(aigs, X)
+        for aig, out, p in zip(aigs, got, preds, strict=True):
+            expect = unpack_bits(reference_outputs(aig, packed), 150)
+            assert out.tobytes() == expect.tobytes()
+            assert p.tobytes() == expect[:, 0].tobytes()
+
+    def test_simulate_rows_grouped_matches_seed(self):
+        aig = build_random_aig(5, 60, 9, n_outputs=2)
+        rng = np.random.default_rng(9)
+        blocks = [
+            rng.integers(0, 2, size=(n, 5)).astype(np.uint8)
+            for n in (1, 30, 64, 100)
+        ]
+        got = simulate_rows_grouped(compile_aig(aig), blocks)
+        assert len(got) == len(blocks)
+        for block, out in zip(blocks, got, strict=True):
+            ref = reference_outputs(aig, pack_bits(block))
+            expect = unpack_bits(ref, block.shape[0])
+            assert out.tobytes() == expect.tobytes()
+        assert simulate_rows_grouped(compile_aig(aig), []) == []
+
+
+class TestLevelizeCutover:
+    def test_depth_65_stays_on_fast_path(self):
+        # The old hard cap (min(num_ands + 1, 64) rounds) kicked a
+        # depth-65 circuit off the vectorized path one round early;
+        # the measured-progress cutover must keep it.
+        aig = build_chain_aig(65)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is False
+        assert stats["rounds"] == 65
+        assert int(lv.max()) == 65
+
+    def test_long_chain_bails_after_two_rounds(self):
+        # A chain settles one node per round: the forecast must trip
+        # immediately instead of running O(depth) vector rounds.
+        aig = build_chain_aig(5000)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is True
+        assert stats["rounds"] == 2
+        base = 1 + aig.n_inputs
+        assert np.array_equal(
+            lv[base:], np.arange(1, 5001, dtype=np.int32)
+        )
+
+    def test_balanced_circuit_never_trips_cutover(self):
+        # Wide levels settle a whole row per round; the forecast stays
+        # far below break-even, so the fast path runs to completion.
+        aig = build_random_aig(10, 400, 17)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is False
+        scalar = [0] * (1 + aig.n_inputs)
+        for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+            scalar.append(1 + max(scalar[f0 >> 1], scalar[f1 >> 1]))
+        assert lv.tolist() == scalar
+
+    def test_empty_program(self):
+        aig = AIG(3)
+        lv, stats = _levelize_stats(aig)
+        assert stats == {"rounds": 0, "fallback": False}
+        assert lv.tolist() == [0, 0, 0, 0]
 
 
 class TestTruthTables:
