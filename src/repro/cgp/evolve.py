@@ -6,6 +6,15 @@ parent), preferential selection of phenotypically *larger* individuals
 on ties [Milano & Nolfi], a 1/5th-rule adaptive mutation rate
 [Doerr & Doerr], and optional mini-batch fitness evaluation that
 reshuffles every ``batch_generations`` generations.
+
+Fitness runs on Python-int bit vectors (one int per input column,
+``int.bit_count`` for the errors).  Each individual carries its active
+nodes with its fitness, computed once.  An offspring whose output gene
+and active genes all equal its parent's has the parent's phenotype, so
+it is not evaluated: it takes the parent's fitness on the current
+batch [Goldman & Punch, "Reducing wasted evaluations in CGP", EuroGP
+2013].  Mutation and every random draw are unaffected, so a run is the
+same as one that evaluates every offspring.
 """
 
 from __future__ import annotations
@@ -16,8 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.aig.aig import AIG
-from repro.cgp.genome import AIG_FUNCTIONS, CGPGenome
-from repro.utils.bitops import pack_bits, popcount64
+from repro.cgp.genome import (
+    AIG_FUNCTIONS,
+    CGPGenome,
+    bit_columns,
+    check_function_set,
+)
+from repro.utils.bitops import as_bits
 
 
 @dataclass
@@ -26,6 +40,34 @@ class EvolutionLog:
 
     fitness: list[float] = field(default_factory=list)
     mutation_rate: list[float] = field(default_factory=list)
+
+
+class _Batch:
+    """Training rows as Python-int bit vectors, scored by bit count."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.n = X.shape[0]
+        self.mask = (1 << self.n) - 1
+        self.columns = bit_columns(X)
+        self.target = bit_columns(y[:, None])[0]
+
+    def fitness(self, genome: CGPGenome, active: list[int]) -> float:
+        out = genome.evaluate_bits(self.columns, self.mask, active)
+        return 1.0 - (out ^ self.target).bit_count() / self.n
+
+
+def _same_phenotype(
+    child: CGPGenome, parent: CGPGenome, parent_active: np.ndarray
+) -> bool:
+    """True when ``child`` kept the output gene and every gene of the
+    parent's active nodes, so both compute the same function through
+    the same active set."""
+    if child.output != parent.output:
+        return False
+    changed = child.funcs != parent.funcs
+    changed |= child.in0 != parent.in0
+    changed |= child.in1 != parent.in1
+    return not changed[parent_active].any()
 
 
 class CGPEvolver:
@@ -44,23 +86,13 @@ class CGPEvolver:
         self.n_nodes = n_nodes
         self.lam = lam
         self.mutation_rate = mutation_rate
-        self.function_set = tuple(function_set)
+        self.function_set = check_function_set(function_set)
         self.batch_size = batch_size
         self.batch_generations = batch_generations
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.log = EvolutionLog()
 
     # ------------------------------------------------------------------
-    def _fitness(self, genome: CGPGenome, packed, y_packed, n_samples) -> float:
-        out = genome.evaluate_packed(packed)
-        wrong = out ^ y_packed
-        # Mask padding bits in the last word.
-        pad = n_samples % 64
-        if pad:
-            wrong[-1] &= np.uint64((1 << pad) - 1)
-        errors = int(popcount64(wrong).sum())
-        return 1.0 - errors / n_samples
-
     def run(
         self,
         X: np.ndarray,
@@ -68,12 +100,25 @@ class CGPEvolver:
         generations: int = 2000,
         seed_genome: CGPGenome | None = None,
     ) -> tuple[CGPGenome, float]:
-        """Evolve and return ``(best_genome, training_accuracy)``."""
-        X = np.asarray(X, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.uint8).ravel()
+        """Evolve and return ``(best_genome, training_accuracy)``.
+
+        ``log`` restarts, so it holds this run's generations only.
+        """
+        X = as_bits(X, "X")
+        y = as_bits(y, "y").ravel()
+        if X.ndim != 2:
+            raise ValueError(
+                f"X must be a 2-D sample matrix, got shape {X.shape}"
+            )
         n = X.shape[0]
-        packed_full = pack_bits(X)
-        y_packed_full = pack_bits(y[:, None])[0]
+        if y.shape[0] != n:
+            raise ValueError(
+                f"X/y length mismatch: {n} rows, {y.shape[0]} labels"
+            )
+        if n == 0:
+            raise ValueError("no training samples")
+        self.log = EvolutionLog()
+        full = batch = _Batch(X, y)
         if seed_genome is not None:
             parent = seed_genome
         else:
@@ -81,43 +126,44 @@ class CGPEvolver:
                 X.shape[1], self.n_nodes, self.rng, self.function_set
             )
         rate = self.mutation_rate
-        batch = None
-        packed, y_packed, n_eval = packed_full, y_packed_full, n
-        parent_fit = self._fitness(parent, packed, y_packed, n_eval)
+        minibatch = self.batch_size is not None and self.batch_size < n
+        # Each individual carries its active nodes (phenotype) with its
+        # fitness on the current batch.
+        parent_active = parent.active_nodes()
+        parent_index = np.array(parent_active, dtype=np.intp)
+        parent_fit = batch.fitness(parent, parent_active)
         for gen in range(generations):
-            if self.batch_size is not None and self.batch_size < n:
-                if batch is None or gen % self.batch_generations == 0:
-                    idx = self.rng.choice(n, size=self.batch_size,
-                                          replace=False)
-                    batch = idx
-                    packed = pack_bits(X[idx])
-                    y_packed = pack_bits(y[idx][:, None])[0]
-                    n_eval = self.batch_size
-                    parent_fit = self._fitness(
-                        parent, packed, y_packed, n_eval
-                    )
-            improved = False
-            best_child = None
+            if minibatch and (batch is full or gen % self.batch_generations == 0):
+                idx = self.rng.choice(n, size=self.batch_size, replace=False)
+                batch = _Batch(X[idx], y[idx])
+                parent_fit = batch.fitness(parent, parent_active)
+            best_child = parent
+            best_active = parent_active
             best_fit = -1.0
             for _ in range(self.lam):
                 child = parent.mutate(rate, self.rng)
-                fit = self._fitness(child, packed, y_packed, n_eval)
+                if _same_phenotype(child, parent, parent_index):
+                    active, fit = parent_active, parent_fit
+                else:
+                    active = child.active_nodes()
+                    fit = batch.fitness(child, active)
                 if fit > best_fit or (
-                    fit == best_fit
-                    and best_child is not None
-                    and child.phenotype_size() > best_child.phenotype_size()
+                    fit == best_fit and len(active) > len(best_active)
                 ):
                     best_fit = fit
                     best_child = child
-            if best_fit > parent_fit:
-                improved = True
+                    best_active = active
+            improved = best_fit > parent_fit
             # Neutral drift: accept >=, preferring larger phenotypes on
             # exact ties with the parent.
-            if best_fit > parent_fit or (
+            if improved or (
                 best_fit == parent_fit
-                and best_child.phenotype_size() >= parent.phenotype_size()
+                and len(best_active) >= len(parent_active)
             ):
+                if best_active is not parent_active:
+                    parent_index = np.array(best_active, dtype=np.intp)
                 parent = best_child
+                parent_active = best_active
                 parent_fit = best_fit
             # 1/5th success rule; the floor keeps at least ~one gene
             # mutating per offspring so the search never freezes.
@@ -128,8 +174,7 @@ class CGPEvolver:
                 rate = max(rate * 1.5 ** (-0.25), min_rate)
             self.log.fitness.append(parent_fit)
             self.log.mutation_rate.append(rate)
-        final_fit = self._fitness(parent, packed_full, y_packed_full, n)
-        return parent, final_fit
+        return parent, full.fitness(parent, parent_active)
 
 
 def evolve_from_aig(

@@ -7,7 +7,12 @@ selects which node (or input) drives the primary output.
 
 Two function sets mirror Team 9's AIG / XAIG choice: the AIG set is
 ANDs with all fanin-inversion combinations plus OR/NAND/NOT; XAIG adds
-XOR and XNOR.
+XOR and XNOR.  Unknown function names are rejected at construction.
+
+The phenotype is evaluated on Python-int bit vectors, one int per
+input column with bit ``s`` holding sample ``s``; ``evaluate`` and
+``evaluate_packed`` convert sample matrices and ``pack_bits`` words to
+and from that form.
 """
 
 from __future__ import annotations
@@ -18,68 +23,50 @@ import numpy as np
 
 from repro.aig.aig import AIG, lit_not
 
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _f_and(a, b):
-    return a & b
-
-
-def _f_and_na(a, b):
-    return (a ^ _ONES) & b
-
-
-def _f_and_nb(a, b):
-    return a & (b ^ _ONES)
-
-
-def _f_nor(a, b):
-    return (a ^ _ONES) & (b ^ _ONES)
-
-
-def _f_or(a, b):
-    return a | b
-
-
-def _f_nand(a, b):
-    return (a & b) ^ _ONES
-
-
-def _f_not(a, b):
-    del b
-    return a ^ _ONES
-
-
-def _f_buf(a, b):
-    del b
-    return a
-
-
-def _f_xor(a, b):
-    return a ^ b
-
-
-def _f_xnor(a, b):
-    return (a ^ b) ^ _ONES
-
-
 AIG_FUNCTIONS: tuple[str, ...] = (
     "and", "and_na", "and_nb", "nor", "or", "nand", "not", "buf",
 )
 XAIG_FUNCTIONS: tuple[str, ...] = AIG_FUNCTIONS + ("xor", "xnor")
 
-_IMPL: dict[str, Callable] = {
-    "and": _f_and,
-    "and_na": _f_and_na,
-    "and_nb": _f_and_nb,
-    "nor": _f_nor,
-    "or": _f_or,
-    "nand": _f_nand,
-    "not": _f_not,
-    "buf": _f_buf,
-    "xor": _f_xor,
-    "xnor": _f_xnor,
+# Each function on Python-int bit vectors (bit s = sample s); ``m`` is
+# the all-ones mask over the samples, so complements stay in range.
+_BIT_OPS: dict[str, Callable[[int, int, int], int]] = {
+    "and": lambda a, b, m: a & b,
+    "and_na": lambda a, b, m: b & ~a,
+    "and_nb": lambda a, b, m: a & ~b,
+    "nor": lambda a, b, m: m & ~(a | b),
+    "or": lambda a, b, m: a | b,
+    "nand": lambda a, b, m: (a & b) ^ m,
+    "not": lambda a, b, m: a ^ m,
+    "buf": lambda a, b, m: a,
+    "xor": lambda a, b, m: a ^ b,
+    "xnor": lambda a, b, m: a ^ b ^ m,
 }
+
+
+def check_function_set(function_set: Sequence[str]) -> tuple[str, ...]:
+    """``function_set`` as a tuple; ``ValueError`` on an unknown name."""
+    names = tuple(function_set)
+    if not names:
+        raise ValueError("empty CGP function set")
+    unknown = [name for name in names if name not in _BIT_OPS]
+    if unknown:
+        raise ValueError(
+            f"unknown CGP function(s) {unknown!r}; choose from "
+            f"{sorted(_BIT_OPS)}"
+        )
+    return names
+
+
+def bit_columns(X: np.ndarray) -> list[int]:
+    """One Python int per column of a 0/1 sample matrix (bit ``s`` is
+    sample ``s``): the operands of :meth:`CGPGenome.evaluate_bits`."""
+    packed = np.packbits(np.asarray(X, dtype=np.uint8), axis=0,
+                         bitorder="little")
+    return [
+        int.from_bytes(col.tobytes(), "little")
+        for col in np.ascontiguousarray(packed.T)
+    ]
 
 
 class CGPGenome:
@@ -97,7 +84,7 @@ class CGPGenome:
     ):
         self.n_inputs = n_inputs
         self.n_nodes = n_nodes
-        self.function_set = tuple(function_set)
+        self.function_set = check_function_set(function_set)
         self.funcs = funcs if funcs is not None else np.zeros(n_nodes, np.int64)
         self.in0 = in0 if in0 is not None else np.zeros(n_nodes, np.int64)
         self.in1 = in1 if in1 is not None else np.zeros(n_nodes, np.int64)
@@ -133,43 +120,71 @@ class CGPGenome:
     # ------------------------------------------------------------------
     def active_nodes(self) -> list[int]:
         """Node indices in the phenotype, in evaluation order."""
+        n_inputs = self.n_inputs
+        in0 = self.in0.tolist()
+        in1 = self.in1.tolist()
         active = set()
-        stack = [self.output - self.n_inputs]
+        stack = [self.output - n_inputs]
         while stack:
             node = stack.pop()
             if node < 0 or node in active:
                 continue
             active.add(node)
-            for ref in (self.in0[node], self.in1[node]):
-                stack.append(int(ref) - self.n_inputs)
+            stack.append(in0[node] - n_inputs)
+            stack.append(in1[node] - n_inputs)
         return sorted(active)
 
     def phenotype_size(self) -> int:
         return len(self.active_nodes())
 
+    def evaluate_bits(
+        self,
+        columns: Sequence[int],
+        mask: int,
+        active: Sequence[int] | None = None,
+    ) -> int:
+        """The phenotype's output bit vector.
+
+        ``columns`` holds one int per primary input (see
+        :func:`bit_columns`) and ``mask`` has a one for every sample.
+        ``active`` is :meth:`active_nodes`, when the caller has it.
+        """
+        if active is None:
+            active = self.active_nodes()
+        ops = [_BIT_OPS[name] for name in self.function_set]
+        values = list(columns)
+        values.extend([0] * self.n_nodes)
+        base = self.n_inputs
+        genes = zip(
+            active,
+            self.funcs[active].tolist(),
+            self.in0[active].tolist(),
+            self.in1[active].tolist(),
+            strict=True,
+        )
+        for node, func, a, b in genes:
+            values[base + node] = ops[func](values[a], values[b], mask)
+        return values[self.output]
+
     def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Bit-parallel evaluation; returns packed output row."""
+        """Evaluate on ``pack_bits`` words; returns the packed output row."""
         n_words = packed_inputs.shape[1]
-        values: dict[int, np.ndarray] = {
-            i: packed_inputs[i] for i in range(self.n_inputs)
-        }
-        for node in self.active_nodes():
-            fn = _IMPL[self.function_set[self.funcs[node]]]
-            a = values[int(self.in0[node])]
-            b = values[int(self.in1[node])]
-            values[self.n_inputs + node] = fn(a, b)
-        out = values.get(self.output)
-        if out is None:  # output points at an inactive index: constant 0
-            out = np.zeros(n_words, dtype=np.uint64)
-        return out
+        columns = [
+            int.from_bytes(row.astype("<u8").tobytes(), "little")
+            for row in packed_inputs
+        ]
+        out = self.evaluate_bits(columns, (1 << (64 * n_words)) - 1)
+        return np.frombuffer(
+            out.to_bytes(8 * n_words, "little"), dtype="<u8"
+        ).astype(np.uint64)
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        from repro.utils.bitops import pack_bits, unpack_bits
-
         X = np.asarray(X, dtype=np.uint8)
-        packed = pack_bits(X)
-        out = self.evaluate_packed(packed)
-        return unpack_bits(out[None, :], X.shape[0])[:, 0]
+        n = X.shape[0]
+        out = self.evaluate_bits(bit_columns(X), (1 << n) - 1)
+        raw = np.frombuffer(out.to_bytes((n + 7) // 8, "little"),
+                            dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little")
 
     # ------------------------------------------------------------------
     def mutate(self, rate: float, rng: np.random.Generator) -> "CGPGenome":

@@ -17,6 +17,24 @@ custom C4.5 variants (Teams 3 and 8):
 
 Trees expose their structure (`nodes` array) so the synthesis bridges
 can turn them into MUX-tree AIGs or path covers.
+
+The kernels are array-native, so their cost scales with tree levels,
+not nodes:
+
+* growth is level-wise: the live samples are tagged by frontier node,
+  every frontier node's split counts come from one integer
+  ``reduceat`` per level, the gain expressions run on the
+  ``(nodes x features)`` matrix with a row-wise first-max ``argmax``,
+  and the nodes are finally renumbered into the preorder a recursive
+  grower produces (a node, its left subtree, then its right subtree);
+  only Team 8's fallback is still a per-node call;
+* ``fit`` and ``prune`` flatten ``nodes`` into ``feature``/``next``/
+  ``value`` arrays with leaves as self-loops, and ``predict`` moves all
+  rows down together, one gather per level.
+
+Fitting and prediction fail closed: non-0/1 data, a 1-D feature
+matrix, mismatched lengths, an unfitted tree and a wrong input width
+raise errors that name the problem.
 """
 
 from __future__ import annotations
@@ -28,6 +46,7 @@ from scipy.special import betaincinv
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
+from repro.utils.bitops import as_bits
 
 _EPS = 1e-12
 
@@ -94,107 +113,133 @@ class DecisionTree:
         self.decomposition_tau = decomposition_tau
         self.nodes: list[TreeNode] = []
         self.n_inputs: int | None = None
+        self._walk: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None
 
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.uint8).ravel()
+        X = as_bits(X, "X")
+        y = as_bits(y, "y").ravel()
+        if X.ndim != 2:
+            raise ValueError(
+                f"X must be a 2-D sample matrix, got shape {X.shape}"
+            )
         if X.shape[0] != y.shape[0]:
-            raise ValueError("X/y length mismatch")
+            raise ValueError(
+                f"X/y length mismatch: {X.shape[0]} rows, {y.shape[0]} labels"
+            )
         self.n_inputs = X.shape[1]
-        self.nodes = []
-        self._grow(X, y, np.arange(X.shape[0]), depth=0, banned=0)
+        self.nodes = self._grow(X, y)
+        self._compile()
         return self
 
-    def _impurity(self, pos, total):
-        fn = entropy if self.criterion == "entropy" else gini
-        return fn(pos, total)
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> list[TreeNode]:
+        """Grow the tree level by level; returns its nodes in preorder.
 
-    def _grow(self, X, y, idx, depth, banned) -> int:
-        """Grow a subtree over ``idx``; returns its node index.
-
-        ``banned`` is a bitmask of features already used on this path
-        (re-splitting a binary feature is useless).
+        The frontier is one array of live sample ids, grouped by node
+        and ascending within each group, so one ``reduceat`` per level
+        yields every frontier node's split counts at once.
         """
-        node_id = len(self.nodes)
-        y_here = y[idx]
-        n = len(idx)
-        n_pos = int(y_here.sum())
-        value = 1 if 2 * n_pos > n else 0
-        node = TreeNode(
-            value=value,
-            n_samples=n,
-            n_errors=min(n_pos, n - n_pos),
-        )
-        self.nodes.append(node)
-        if (
-            n_pos == 0
-            or n_pos == n
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or n < max(2, 2 * self.min_samples_leaf)
-        ):
-            return node_id
-        feature, gain = self._best_split(X, y, idx, banned)
-        if feature is None:
-            return node_id
-        use_decomposition = (
-            self.decomposition_tau is not None
-            and gain < self.decomposition_tau
-        )
-        if use_decomposition:
-            alt = self._decomposition_split(X, y, idx, banned)
-            if alt is not None:
-                feature = alt
-        elif gain < self.min_gain:
-            return node_id
-        mask = X[idx, feature] == 1
-        idx_left = idx[~mask]
-        idx_right = idx[mask]
-        if (
-            len(idx_left) < self.min_samples_leaf
-            or len(idx_right) < self.min_samples_leaf
-        ):
-            return node_id
-        node.feature = feature
-        node.is_leaf = False
-        new_banned = banned | (1 << feature)
-        node.left = self._grow(X, y, idx_left, depth + 1, new_banned)
-        node.right = self._grow(X, y, idx_right, depth + 1, new_banned)
-        return node_id
-
-    def _best_split(self, X, y, idx, banned) -> tuple[int | None, float]:
-        """Highest-gain feature over the node's samples (vectorized)."""
-        Xn = X[idx]
-        yn = y[idx]
-        n = len(idx)
-        ones = Xn.sum(axis=0).astype(np.float64)          # count x=1
-        pos_ones = Xn[yn == 1].sum(axis=0).astype(np.float64)
-        n_pos = float(yn.sum())
-        zeros = n - ones
-        pos_zeros = n_pos - pos_ones
-        parent = self._impurity(np.array(n_pos), np.array(float(n)))
-        child = (
-            ones / n * self._impurity(pos_ones, ones)
-            + zeros / n * self._impurity(pos_zeros, zeros)
-        )
-        gains = parent - child
-        # A split is useless if one side is empty or the feature was
-        # already used on this path.
-        gains = np.where((ones == 0) | (zeros == 0), -np.inf, gains)
-        if banned:
-            banned_idx = [
-                i for i in range(X.shape[1]) if banned & (1 << i)
-            ]
-            gains[banned_idx] = -np.inf
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]):
-            return None, 0.0
-        return best, float(gains[best])
+        n_rows, n_features = X.shape
+        if n_rows == 0:
+            return [TreeNode()]
+        impurity = entropy if self.criterion == "entropy" else gini
+        min_leaf = self.min_samples_leaf
+        min_split = max(2, 2 * min_leaf)
+        grown: list[TreeNode] = []  # breadth-first
+        order = np.arange(n_rows)
+        sizes = np.array([n_rows])
+        banned = np.zeros((1, n_features), dtype=bool)
+        depth = 0
+        while sizes.size:
+            starts = np.cumsum(sizes) - sizes
+            n_pos = np.add.reduceat(y[order], starts, dtype=np.int64)
+            first_id = len(grown)
+            for n, p in zip(sizes.tolist(), n_pos.tolist(), strict=True):
+                grown.append(TreeNode(
+                    value=1 if 2 * p > n else 0,
+                    n_samples=n,
+                    n_errors=min(p, n - p),
+                ))
+            live = (n_pos > 0) & (n_pos < sizes) & (sizes >= min_split)
+            if self.max_depth is not None and depth >= self.max_depth:
+                live[:] = False
+            if not live.any():
+                break
+            # Restrict the frontier to the nodes that may split.
+            node_ids = first_id + np.flatnonzero(live)
+            order = order[np.repeat(live, sizes)]
+            sizes, n_pos, banned = sizes[live], n_pos[live], banned[live]
+            starts = np.cumsum(sizes) - sizes
+            Xs = X[order]
+            ys = y[order]
+            ones_i = np.add.reduceat(Xs, starts, axis=0, dtype=np.int64)
+            pos_ones_i = np.add.reduceat(
+                Xs & ys[:, None], starts, axis=0, dtype=np.int64
+            )
+            # The per-node gain expressions, one row per frontier node.
+            n = sizes.astype(np.float64)[:, None]
+            ones = ones_i.astype(np.float64)
+            pos_ones = pos_ones_i.astype(np.float64)
+            zeros = n - ones
+            pos_zeros = n_pos.astype(np.float64)[:, None] - pos_ones
+            parent = impurity(n_pos.astype(np.float64), n[:, 0])
+            child = (
+                ones / n * impurity(pos_ones, ones)
+                + zeros / n * impurity(pos_zeros, zeros)
+            )
+            gains = parent[:, None] - child
+            # A split is useless if one side is empty or the feature was
+            # already used on this path (re-splitting a binary feature).
+            gains[(ones == 0) | (zeros == 0) | banned] = -np.inf
+            rows = np.arange(sizes.size)
+            feature = gains.argmax(axis=1)
+            gain = gains[rows, feature]
+            split = np.isfinite(gain)
+            if self.decomposition_tau is None:
+                split &= gain >= self.min_gain
+            else:
+                decompose = split & (gain < self.decomposition_tau)
+                split &= decompose | (gain >= self.min_gain)
+                for i in np.flatnonzero(decompose).tolist():
+                    idx = order[starts[i]:starts[i] + sizes[i]]
+                    alt = self._decomposition_split(X, y, idx, banned[i])
+                    if alt is not None:
+                        feature[i] = alt
+            n_right = ones_i[rows, feature]
+            n_left = sizes - n_right
+            split &= (n_left >= min_leaf) & (n_right >= min_leaf)
+            if not split.any():
+                break
+            # Children of the r-th splitting node take the r-th pair of
+            # slots on the next level: left (x=0) first, then right.
+            next_id = len(grown)
+            for r, (i, f) in enumerate(zip(
+                node_ids[split].tolist(), feature[split].tolist(),
+                strict=True,
+            )):
+                node = grown[i]
+                node.feature = f
+                node.is_leaf = False
+                node.left = next_id + 2 * r
+                node.right = next_id + 2 * r + 1
+            group = np.repeat(np.cumsum(split) - 1, sizes)
+            go = np.repeat(split, sizes)
+            side = Xs[np.arange(order.size), feature[np.repeat(rows, sizes)]]
+            key = (2 * group + side)[go]
+            order = order[go][np.argsort(key, kind="stable")]
+            sizes = np.stack([n_left[split], n_right[split]], axis=1).ravel()
+            banned = banned[split]
+            banned[np.arange(banned.shape[0]), feature[split]] = True
+            banned = np.repeat(banned, 2, axis=0)
+            depth += 1
+        return _preorder(grown)
 
     def _decomposition_split(self, X, y, idx, banned) -> int | None:
         """Team 8's fallback: constant branch or complement branches.
+
+        ``banned`` flags the features already used on the node's path.
 
         Checked aggressively (complement assumed until a counterexample
         is seen) and picking the *last* satisfying feature, both
@@ -203,9 +248,7 @@ class DecisionTree:
         Xn = X[idx]
         yn = y[idx]
         chosen = None
-        for feature in range(X.shape[1]):
-            if banned & (1 << feature):
-                continue
+        for feature in np.flatnonzero(~banned).tolist():
             mask = Xn[:, feature] == 1
             y0, y1 = yn[~mask], yn[mask]
             if len(y0) == 0 or len(y1) == 0:
@@ -250,6 +293,7 @@ class DecisionTree:
         if not self.nodes:
             return self
         self._prune_rec(0, confidence_factor)
+        self._compile()
         return self
 
     def _prune_rec(self, node_id: int, cf: float) -> float:
@@ -272,25 +316,46 @@ class DecisionTree:
     # ------------------------------------------------------------------
     # Prediction and export
     # ------------------------------------------------------------------
+    def _compile(self) -> None:
+        """Flatten ``nodes`` into the arrays :meth:`predict` walks.
+
+        ``next[2 * i + b]`` is node ``i``'s child for feature value
+        ``b``; a leaf loops back to itself, so every row can take the
+        same number of steps (the tree depth).
+        """
+        nodes = self.nodes
+        feature = np.array(
+            [0 if node.is_leaf else node.feature for node in nodes],
+            dtype=np.intp,
+        )
+        nxt = np.array(
+            [(i, i) if node.is_leaf else (node.left, node.right)
+             for i, node in enumerate(nodes)],
+            dtype=np.intp,
+        ).ravel()
+        value = np.array([node.value for node in nodes], dtype=np.uint8)
+        self._walk = (feature, nxt, value, self.depth())
+
     def predict(self, X: np.ndarray) -> np.ndarray:
+        if self._walk is None:
+            raise RuntimeError("tree is not fitted")
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
-        out = np.zeros(X.shape[0], dtype=np.uint8)
-        # Route sample groups down the tree iteratively.
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node_id, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            mask = X[idx, node.feature] == 1
-            stack.append((node.left, idx[~mask]))
-            stack.append((node.right, idx[mask]))
-        return out
+        if X.ndim != 2:
+            raise ValueError(
+                f"X must be a 2-D sample matrix, got shape {X.shape}"
+            )
+        if X.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} input columns, got {X.shape[1]}"
+            )
+        feature, nxt, value, depth = self._walk
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(depth):
+            node = nxt[2 * node + (X[rows, feature[node]] == 1)]
+        return value[node]
 
     def depth(self) -> int:
         """Maximum root-to-leaf edge count."""
@@ -338,6 +403,27 @@ class DecisionTree:
 
         rec(0, [])
         return Cover(self.n_inputs, cubes)
+
+
+def _preorder(grown: list[TreeNode]) -> list[TreeNode]:
+    """Renumber breadth-first nodes into depth-first preorder (node,
+    then its whole left subtree, then its right subtree)."""
+    rank = [0] * len(grown)
+    visit = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        rank[i] = len(visit)
+        visit.append(grown[i])
+        node = grown[i]
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    for node in visit:
+        if not node.is_leaf:
+            node.left = rank[node.left]
+            node.right = rank[node.right]
+    return visit
 
 
 def _pessimistic_errors(n: int, errors: int, cf: float) -> float:

@@ -19,6 +19,18 @@ _POP16 = np.array(
 )
 
 
+def as_bits(values, name: str) -> np.ndarray:
+    """``values`` as a ``uint8`` array, or a ``ValueError`` naming
+    ``name`` unless every entry is 0 or 1."""
+    arr = np.asarray(values)
+    bits = arr.astype(np.uint8, copy=False)
+    if bits.size and (
+        bits.max() > 1 or (bits is not arr and not np.array_equal(bits, arr))
+    ):
+        raise ValueError(f"{name} must hold only 0/1 values")
+    return bits
+
+
 def pack_bits(matrix: np.ndarray) -> np.ndarray:
     """Pack a ``(n_samples, n_vars)`` 0/1 matrix into uint64 words.
 

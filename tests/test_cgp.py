@@ -1,6 +1,7 @@
 """Cartesian genetic programming."""
 
 import numpy as np
+import pytest
 
 from repro.cgp import (
     XAIG_FUNCTIONS,
@@ -116,3 +117,44 @@ class TestEvolution:
         assert min(rates) >= 1e-4
         assert max(rates) <= 0.5
         assert len(set(np.round(rates, 6))) > 1
+
+
+class TestFailClosed:
+    @pytest.fixture
+    def data(self, rng):
+        X = rng.integers(0, 2, size=(40, 4)).astype(np.uint8)
+        return X, X[:, 0] ^ X[:, 1]
+
+    def test_rejects_length_mismatch(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="length mismatch"):
+            CGPEvolver(n_nodes=10).run(X, y[:10], generations=5)
+
+    def test_rejects_empty_training_set(self):
+        with pytest.raises(ValueError, match="no training samples"):
+            CGPEvolver(n_nodes=10).run(
+                np.zeros((0, 4), dtype=np.uint8), [], generations=5
+            )
+
+    def test_rejects_non_binary_data(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="X must hold only 0/1"):
+            CGPEvolver(n_nodes=10).run(X * 2, y, generations=5)
+        with pytest.raises(ValueError, match="y must hold only 0/1"):
+            CGPEvolver(n_nodes=10).run(X, y + 1, generations=5)
+
+    def test_rejects_unknown_function_names(self, rng):
+        with pytest.raises(ValueError, match="'maj'"):
+            CGPEvolver(function_set=("and", "maj"))
+        with pytest.raises(ValueError, match="'maj'"):
+            CGPGenome(4, 10, function_set=("and", "maj"))
+        with pytest.raises(ValueError, match="'maj'"):
+            CGPGenome.random(4, 10, rng, ("and", "maj"))
+
+    def test_log_restarts_each_run(self, data):
+        X, y = data
+        evolver = CGPEvolver(n_nodes=10)
+        evolver.run(X, y, generations=5)
+        evolver.run(X, y, generations=5)
+        assert len(evolver.log.fitness) == 5
+        assert len(evolver.log.mutation_rate) == 5

@@ -128,3 +128,52 @@ class TestExport:
         assert vals[0] == pytest.approx(0.0, abs=1e-6)
         assert vals[1] == pytest.approx(1.0)
         assert vals[2] == pytest.approx(0.0, abs=1e-6)
+
+
+class TestFailClosed:
+    @pytest.fixture
+    def data(self, rng):
+        X = rng.integers(0, 2, size=(40, 6)).astype(np.uint8)
+        return X, (X[:, 0] & X[:, 1]).astype(np.uint8)
+
+    def test_predict_requires_fit(self, data):
+        with pytest.raises(RuntimeError, match="tree is not fitted"):
+            DecisionTree().predict(data[0])
+
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_predict_rejects_wrong_width(self, data, width):
+        tree = DecisionTree().fit(*data)
+        with pytest.raises(
+            ValueError, match=f"expected 6 input columns, got {width}"
+        ):
+            tree.predict(np.zeros((4, width), dtype=np.uint8))
+
+    def test_predict_accepts_one_row(self, data):
+        X, y = data
+        tree = DecisionTree().fit(X, y)
+        assert tree.predict(X[3]).tolist() == [tree.predict(X)[3]]
+
+    def test_fit_rejects_non_binary_features(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="X must hold only 0/1"):
+            DecisionTree().fit(X * 2, y)
+
+    def test_fit_rejects_non_binary_labels(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="y must hold only 0/1"):
+            DecisionTree().fit(X, y * 3)
+
+    def test_fit_rejects_one_dimensional_features(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="2-D"):
+            DecisionTree().fit(X[:, 0], y)
+
+    def test_fit_rejects_length_mismatch(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="length mismatch"):
+            DecisionTree().fit(X, y[:10])
+
+    def test_empty_training_set_is_one_leaf(self):
+        tree = DecisionTree().fit(np.zeros((0, 3), dtype=np.uint8), [])
+        assert tree.num_leaves() == 1
+        assert tree.predict(np.ones((2, 3))).tolist() == [0, 0]
