@@ -9,9 +9,12 @@ topological order.
 
 The graph is structurally hashed: :meth:`AIG.add_and` folds constants,
 normalizes fanin order and reuses an existing node when one computes
-the same function of the same fanins.  Optimization passes rely on
-:meth:`AIG.checkpoint` / :meth:`AIG.rollback` to tentatively build
-candidate subgraphs and undo them when they do not improve size.
+the same function of the same fanins.  Graphs only grow: there is no
+undo.  Optimization passes price a candidate subgraph without touching
+the graph (:class:`repro.aig.opt.counting.VirtualBuilder`) and build
+only the winner, each pass into a fresh graph that
+:meth:`AIG.extract_cone` then compacts.  Every literal the graph stores
+or returns is a plain Python ``int``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class GateOps:
 
     def add_or(self, a: int, b: int) -> int:
         """OR via De Morgan."""
-        return lit_not(self.add_and(lit_not(a), lit_not(b)))
+        return self.add_and(a ^ 1, b ^ 1) ^ 1
 
     def add_xor(self, a: int, b: int) -> int:
         """XOR as two ANDs plus an OR (3 AND nodes)."""
@@ -132,8 +135,7 @@ class AIG(GateOps):
         self._fanin0: list[int] = []
         self._fanin1: list[int] = []
         self.outputs: list[int] = []
-        self._strash = {}
-        self._strash_log: list[tuple[int, int]] = []
+        self._strash: dict[tuple[int, int], int] = {}
         # Structural version, bumped on every mutation; keys the cached
         # compiled simulation engine (see :meth:`compiled`).
         self._version = 0
@@ -190,24 +192,21 @@ class AIG(GateOps):
         if a > b:
             a, b = b, a
         # Constant and trivial cases.
-        if a == CONST0:
-            return CONST0
-        if a == CONST1:
-            return b
+        if a <= CONST1:
+            return b if a else CONST0
         if a == b:
             return a
-        if a == lit_not(b):
+        if a ^ 1 == b:
             return CONST0
         key = (a, b)
         found = self._strash.get(key)
         if found is not None:
             return found
-        var = self.num_vars
-        self._fanin0.append(a)
+        fanin0 = self._fanin0
+        lit = (self.n_inputs + 1 + len(fanin0)) << 1
+        fanin0.append(a)
         self._fanin1.append(b)
-        lit = lit_make(var)
         self._strash[key] = lit
-        self._strash_log.append(key)
         self._version += 1
         return lit
 
@@ -216,24 +215,6 @@ class AIG(GateOps):
         self.outputs.append(lit)
         self._version += 1
         return len(self.outputs) - 1
-
-    # ------------------------------------------------------------------
-    # Checkpoint / rollback for tentative construction
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[int, int, int]:
-        """Snapshot for :meth:`rollback` (node count, strash log, outputs)."""
-        return (self.num_ands, len(self._strash_log), len(self.outputs))
-
-    def rollback(self, state: tuple[int, int, int]) -> None:
-        """Undo all nodes/outputs added after ``state`` was taken."""
-        n_ands, n_log, n_outs = state
-        for key in self._strash_log[n_log:]:
-            self._strash.pop(key, None)
-        del self._strash_log[n_log:]
-        del self._fanin0[n_ands:]
-        del self._fanin1[n_ands:]
-        del self.outputs[n_outs:]
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Structural analysis
@@ -251,33 +232,37 @@ class AIG(GateOps):
 
     def fanout_counts(self) -> np.ndarray:
         """Number of fanout references per variable (incl. outputs)."""
-        counts = np.zeros(self.num_vars, dtype=np.int64)
-        for j in range(self.num_ands):
-            counts[self._fanin0[j] >> 1] += 1
-            counts[self._fanin1[j] >> 1] += 1
-        for o in self.outputs:
-            counts[lit_var(o)] += 1
-        return counts
+        lits = np.array(
+            self._fanin0 + self._fanin1 + self.outputs, dtype=np.int64
+        )
+        return np.bincount(lits >> 1, minlength=self.num_vars).astype(
+            np.int64, copy=False
+        )
 
     def reachable_vars(self, lits: Iterable[int] | None = None) -> np.ndarray:
         """Boolean mask of variables in the transitive fanin of ``lits``.
 
         Defaults to the registered outputs.
         """
-        if lits is None:
-            lits = self.outputs
-        mask = np.zeros(self.num_vars, dtype=bool)
-        stack = [lit_var(lit) for lit in lits]
-        while stack:
-            var = stack.pop()
-            if mask[var]:
-                continue
-            mask[var] = True
-            if self.is_and_var(var):
-                f0, f1 = self.fanins(var)
-                stack.append(lit_var(f0))
-                stack.append(lit_var(f1))
-        return mask
+        mark = self._reachable(self.outputs if lits is None else lits)
+        return np.frombuffer(mark, dtype=bool)
+
+    def _reachable(self, lits: Iterable[int]) -> bytearray:
+        """:meth:`reachable_vars` as a 0/1 ``bytearray``.
+
+        One reverse sweep over the node list: fanins precede their
+        node, so a node is marked before its own fanins are visited.
+        """
+        mark = bytearray(self.num_vars)
+        for lit in lits:
+            mark[lit >> 1] = 1
+        base = self.n_inputs + 1
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        for j in range(len(fanin0) - 1, -1, -1):
+            if mark[base + j]:
+                mark[fanin0[j] >> 1] = 1
+                mark[fanin1[j] >> 1] = 1
+        return mark
 
     def count_used_ands(self, lits: Iterable[int] | None = None) -> int:
         """AND nodes in the transitive fanin of ``lits`` (default outputs)."""
@@ -294,22 +279,20 @@ class AIG(GateOps):
         if lits is None:
             lits = list(self.outputs)
         new = AIG(self.n_inputs)
-        mask = self.reachable_vars(lits)
-        mapping = np.full(self.num_vars, -1, dtype=np.int64)
-        mapping[0] = CONST0
-        for i in range(self.n_inputs):
-            mapping[1 + i] = new.input_lit(i)
+        mark = self._reachable(lits)
         base = self.n_inputs + 1
-        for j in range(self.num_ands):
-            var = base + j
-            if not mask[var]:
-                continue
-            f0, f1 = self._fanin0[j], self._fanin1[j]
-            a = mapping[f0 >> 1] ^ (f0 & 1)
-            b = mapping[f1 >> 1] ^ (f1 & 1)
-            mapping[var] = new.add_and(a, b)
+        # Constant and inputs keep their literals.
+        mapping = list(range(0, 2 * base, 2)) + [0] * self.num_ands
+        add_and = new.add_and
+        var = base
+        for f0, f1 in zip(self._fanin0, self._fanin1, strict=True):
+            if mark[var]:
+                mapping[var] = add_and(
+                    mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1)
+                )
+            var += 1
         for lit in lits:
-            new.set_output(int(mapping[lit_var(lit)]) ^ (lit & 1))
+            new.set_output(int(mapping[lit >> 1] ^ (lit & 1)))
         return new
 
     def copy(self) -> "AIG":
@@ -319,7 +302,6 @@ class AIG(GateOps):
         new._fanin1 = list(self._fanin1)
         new.outputs = list(self.outputs)
         new._strash = dict(self._strash)
-        new._strash_log = list(self._strash_log)
         return new
 
     # ------------------------------------------------------------------
@@ -329,12 +311,12 @@ class AIG(GateOps):
         """The levelized simulation engine for the current structure.
 
         Compiled lazily and cached until the next mutation
-        (:meth:`add_and` appending a node, :meth:`set_output`,
-        :meth:`rollback`), so repeated simulations of the same graph —
-        the common case when scoring one candidate on several sample
-        sets — pay the compile cost once.  ``outputs`` is a public
-        list, so the cache is additionally keyed on its contents to
-        stay correct under in-place rewiring.
+        (:meth:`add_and` appending a node, :meth:`set_output`), so
+        repeated simulations of the same graph — the common case when
+        scoring one candidate on several sample sets — pay the compile
+        cost once.  ``outputs`` is a public list, so the cache is
+        additionally keyed on its contents to stay correct under
+        in-place rewiring.
         """
         from repro.sim.engine import CompiledAIG
 

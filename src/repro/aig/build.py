@@ -11,11 +11,16 @@ All word operands are little-endian literal lists (index 0 = LSB).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
 from repro.aig.aig import AIG, CONST0, CONST1, lit_not
 from repro.aig.isop import isop
+from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
+
+# (flat operand pairs, output literal); see _sop_program.
+SopProgram = tuple[array, int]
 
 
 def full_adder(aig: AIG, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -208,41 +213,94 @@ def maj5_tree(aig: AIG, lits: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _lut_covers(table: int, k: int):
-    """Irredundant covers of both polarities of a truth table."""
+def _lut_programs(table: int, k: int) -> tuple[SopProgram, SopProgram]:
+    """SOP programs of the irredundant covers of both polarities."""
     full = (1 << (1 << k)) - 1
     pos_cover, _ = isop(table, table, k)
     neg_cover, _ = isop(~table & full, ~table & full, k)
-    return pos_cover, neg_cover
+    return _sop_program(pos_cover, k), _sop_program(neg_cover, k)
+
+
+def _sop_program(cover, k: int) -> SopProgram:
+    """An OR of cube-AND trees over ``k`` leaves, as ``add_and`` calls.
+
+    Each cube is a balanced AND tree over its literals and the cubes
+    are OR-ed by a balanced tree (``GateOps._reduce_balanced``).
+    Which operands go to ``add_and`` does not depend on the values it
+    returns, so the call sequence is recorded once per cover.
+    Operands are literals over slots:
+    slot 0 is the constant, slots ``1..k`` the leaves, and every call
+    appends a slot.  The operand pairs are stored flat in a compact
+    ``array`` (the LUT cache holds thousands of programs), and
+    :func:`run_sop_program` replays them.
+    """
+    ops: list[int] = []
+
+    def tree(lits: list[int]) -> int:
+        # GateOps._reduce_balanced over add_and, one level at a time.
+        while len(lits) > 1:
+            nxt = []
+            for i in range(0, len(lits) - 1, 2):
+                ops.append(lits[i])
+                ops.append(lits[i + 1])
+                nxt.append((k + len(ops) // 2) << 1)
+            if len(lits) & 1:
+                nxt.append(lits[-1])
+            lits = nxt
+        return lits[0]
+
+    terms = [
+        tree([((1 + var) << 1) | (value ^ 1) for var, value in cube])
+        if cube else CONST1
+        for cube in cover
+    ]
+    # add_or(a, b) is add_and(a ^ 1, b ^ 1) ^ 1: an AND tree over the
+    # complemented terms, complemented.
+    out = tree([t ^ 1 for t in terms]) ^ 1 if terms else CONST0
+    return array("I", ops), out
+
+
+def run_sop_program(sink, program: SopProgram, leaves: Sequence[int]) -> int:
+    """Replay ``program`` on ``sink`` over ``leaves``; returns the output.
+
+    ``sink`` is anything with an ``add_and`` — a real :class:`AIG` or
+    a cost-counting :class:`~repro.aig.opt.counting.VirtualBuilder`.
+    """
+    ops, out = program
+    vals = [CONST0, *leaves]
+    add_and = sink.add_and
+    it = iter(ops)
+    for a, b in zip(it, it, strict=True):
+        vals.append(add_and(vals[a >> 1] ^ (a & 1), vals[b >> 1] ^ (b & 1)))
+    return vals[out >> 1] ^ (out & 1)
 
 
 def lut_choice(aig: AIG, table: int, leaves: Sequence[int],
-               budget: int = None):
+               budget: int | None = None):
     """Price both SOP polarities of ``table`` against ``aig``.
 
-    Returns ``(cost, cover, negated)`` for the cheaper polarity —
+    Returns ``(cost, program, negated)`` for the cheaper polarity —
     where ``cost`` is the exact number of AND nodes
-    ``sop_over_leaves(aig, cover, leaves)`` would add (strash-aware
-    virtual counting; the graph is not touched) — or None when a
-    ``budget`` is given and both polarities exceed it.  The positive
-    polarity wins ties, matching the seed behavior.
+    ``run_sop_program(aig, program, leaves)`` would add (strash-aware
+    virtual counting; the graph is not touched) and the built literal
+    is complemented when ``negated`` — or None when a ``budget`` is
+    given and both polarities exceed it.  The positive polarity wins
+    ties, matching the seed behavior.
     """
-    from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
-
     k = len(leaves)
     full = (1 << (1 << k)) - 1
     table &= full
-    pos_cover, neg_cover = _lut_covers(table, k)
     best = None
-    for cover, negated in ((pos_cover, False), (neg_cover, True)):
+    for program, negated in zip(_lut_programs(table, k), (False, True),
+                                strict=True):
         cap = budget if best is None else best[0] - 1
         counter = VirtualBuilder(aig, budget=cap)
         try:
-            sop_over_leaves(counter, cover, leaves)
+            run_sop_program(counter, program, leaves)
         except BudgetExceeded:
             continue
         if best is None or counter.n_new < best[0]:
-            best = (counter.n_new, cover, negated)
+            best = (counter.n_new, program, negated)
     return best
 
 
@@ -261,26 +319,18 @@ def lut(aig: AIG, table: int, leaves: Sequence[int]) -> int:
         return CONST0
     if table == full:
         return CONST1
-    _, cover, negated = lut_choice(aig, table, leaves)
-    lit = sop_over_leaves(aig, cover, leaves)
+    _, program, negated = lut_choice(aig, table, leaves)
+    lit = run_sop_program(aig, program, leaves)
     return lit_not(lit) if negated else lit
 
 
 def sop_over_leaves(aig, cover, leaves: Sequence[int]) -> int:
     """Build an OR of cube-ANDs over leaf literals.
 
-    ``aig`` is anything with the ``GateOps`` contract — a real
-    :class:`AIG` or a cost-counting
-    :class:`~repro.aig.opt.counting.VirtualBuilder`.
+    ``aig`` is anything with an ``add_and``, as for
+    :func:`run_sop_program`.
     """
-    terms = []
-    for cube in cover:
-        lits = [
-            leaves[var] if value else lit_not(leaves[var])
-            for var, value in cube
-        ]
-        terms.append(aig.add_and_multi(lits))
-    return aig.add_or_multi(terms)
+    return run_sop_program(aig, _sop_program(cover, len(leaves)), leaves)
 
 
 def mux_tree_from_table(

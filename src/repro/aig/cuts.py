@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from repro.aig.aig import AIG
-from repro.aig.isop import full_mask
+from repro.aig.isop import full_mask, var_mask
 from repro.aig.opt import traverse
 
 Cut = tuple[int, ...]  # sorted variable indices
@@ -59,41 +59,75 @@ def _expand(table: int, sub: Cut, sup: Cut) -> int:
     """Re-express ``table`` (over leaves ``sub``) over superset ``sup``."""
     if sub == sup:
         return table
-    positions = tuple(sup.index(leaf) for leaf in sub)
-    return _expand_table(table, positions, len(sup))
+    if table == TRIVIAL_TABLE and len(sub) == 1:
+        # The identity over one leaf is that leaf's variable table.
+        return var_mask(len(sup), sup.index(sub[0]))
+    return _expand_table(table, tuple(map(sup.index, sub)), len(sup))
 
 
-def _merge_node_cuts(
-    cuts: dict[int, list[Cut]], aig: AIG, var: int, k: int, max_cuts: int
-) -> tuple[list[Cut], dict[Cut, tuple[Cut, Cut]]]:
-    """Pruned cut list for ``var`` plus each cut's source fanin pair."""
-    f0, f1 = aig.fanins(var)
-    v0, v1 = f0 >> 1, f1 >> 1
-    merged: dict[Cut, tuple[Cut, Cut]] = {(var,): None}
-    for c0 in cuts[v0]:
-        s0 = set(c0)
-        len0 = len(c0)
-        for c1 in cuts[v1]:
-            # Cheap reject: disjoint leaf ranges cannot shrink the
-            # union below len0 + len(c1).
-            if len0 + len(c1) > k and (c0[-1] < c1[0] or c1[-1] < c0[0]):
+def _node_cuts(
+    aig: AIG, k: int, max_cuts: int, with_tables: bool
+) -> list[list[tuple[int, Cut, int]]]:
+    """Per-variable ``(mask, cut, table)`` entries, kept cuts only.
+
+    A leaf set is an int bitmask while cuts are merged and pruned:
+    union is ``|``, the size check ``bit_count()`` and dominance
+    ``p & m == p``.  The sorted leaf tuple is built only for cuts that
+    survive pruning; they are ordered by ``(len, cut)`` and truncated
+    to ``max_cuts``.  ``table`` is the root's function over the cut.
+    When ``with_tables`` is false no table is computed and the slot
+    keeps the pair of fanin entries the cut was merged from (the
+    trivial cut keeps its identity table).
+    """
+    base = aig.n_inputs + 1
+    entries: list[list[tuple[int, Cut, int]]] = [[(0, (), 0)]]
+    entries += [[(1 << v, (v,), TRIVIAL_TABLE)] for v in range(1, base)]
+    var = base
+    for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+        own = 1 << var
+        merged: dict[int, tuple | None] = {own: None}
+        cuts1 = entries[f1 >> 1]
+        for e0 in entries[f0 >> 1]:
+            m0 = e0[0]
+            for e1 in cuts1:
+                m = m0 | e1[0]
+                if m.bit_count() <= k and m not in merged:
+                    merged[m] = (e0, e1)
+        # Drop dominated cuts (proper supersets of another cut);
+        # distinct masks of one size never dominate each other.
+        kept: list[int] = []
+        for m in sorted(merged, key=int.bit_count):
+            for p in kept:
+                if p & m == p:
+                    break
+            else:
+                kept.append(m)
+        node: list[tuple[int, Cut, int]] = []
+        for m in kept:
+            pair = merged[m]
+            if pair is None:
+                node.append((own, (var,), TRIVIAL_TABLE))
                 continue
-            leaves = tuple(sorted(s0.union(c1)))
-            if len(leaves) <= k and leaves not in merged:
-                merged[leaves] = (c0, c1)
-    # Drop dominated cuts (supersets of another cut).
-    pruned: list[Cut] = []
-    pruned_sets: list[set] = []
-    for cand in sorted(merged, key=len):
-        cs = set(cand)
-        # Candidates are distinct sorted tuples, so distinct sets;
-        # subset here always means *proper* subset.
-        if any(p <= cs for p in pruned_sets):
-            continue
-        pruned.append(cand)
-        pruned_sets.append(cs)
-    pruned.sort(key=lambda c: (len(c), c))
-    return pruned[:max_cuts], merged
+            e0, e1 = pair
+            node.append((m, tuple(sorted({*e0[1], *e1[1]})), pair))
+        node.sort(key=lambda e: (len(e[1]), e[1]))
+        del node[max_cuts:]
+        if with_tables:
+            for i, (m, cut, pair) in enumerate(node):
+                if m == own:
+                    continue
+                (_, c0, t0), (_, c1, t1) = pair
+                fm = full_mask(len(cut))
+                a = _expand(t0, c0, cut)
+                if f0 & 1:
+                    a = ~a & fm
+                b = _expand(t1, c1, cut)
+                if f1 & 1:
+                    b = ~b & fm
+                node[i] = (m, cut, a & b)
+        entries.append(node)
+        var += 1
+    return entries
 
 
 def enumerate_cuts(
@@ -105,14 +139,8 @@ def enumerate_cuts(
     cut is a sorted tuple of leaf variable indices.  The constant
     variable never appears as a leaf.
     """
-    cuts: dict[int, list[Cut]] = {0: [()]}
-    for i in range(aig.n_inputs):
-        cuts[1 + i] = [(1 + i,)]
-    base = aig.n_inputs + 1
-    for j in range(aig.num_ands):
-        var = base + j
-        cuts[var], _ = _merge_node_cuts(cuts, aig, var, k, max_cuts)
-    return cuts
+    entries = _node_cuts(aig, k, max_cuts, with_tables=False)
+    return {v: [e[1] for e in node] for v, node in enumerate(entries)}
 
 
 def enumerate_cuts_with_truths(
@@ -126,38 +154,8 @@ def enumerate_cuts_with_truths(
     ``(cut, table)`` pairs; the table of the trivial cut ``(var,)`` is
     the identity ``0b10``.
     """
-    cuts: dict[int, list[Cut]] = {0: [()]}
-    tables: dict[int, dict[Cut, int]] = {0: {(): 0}}
-    for i in range(aig.n_inputs):
-        v = 1 + i
-        cuts[v] = [(v,)]
-        tables[v] = {(v,): TRIVIAL_TABLE}
-    base = aig.n_inputs + 1
-    out: dict[int, list[tuple[Cut, int]]] = {}
-    for v in range(base):
-        out[v] = [(c, tables[v][c]) for c in cuts.get(v, [])]
-    for j in range(aig.num_ands):
-        var = base + j
-        f0, f1 = aig.fanins(var)
-        v0, v1 = f0 >> 1, f1 >> 1
-        kept, merged = _merge_node_cuts(cuts, aig, var, k, max_cuts)
-        cuts[var] = kept
-        node_tables: dict[Cut, int] = {(var,): TRIVIAL_TABLE}
-        for cut in kept:
-            if cut == (var,):
-                continue
-            c0, c1 = merged[cut]
-            fm = full_mask(len(cut))
-            a = _expand(tables[v0][c0], c0, cut)
-            if f0 & 1:
-                a = ~a & fm
-            b = _expand(tables[v1][c1], c1, cut)
-            if f1 & 1:
-                b = ~b & fm
-            node_tables[cut] = a & b
-        tables[var] = node_tables
-        out[var] = [(c, node_tables[c]) for c in kept]
-    return out
+    entries = _node_cuts(aig, k, max_cuts, with_tables=True)
+    return {v: [e[1:] for e in node] for v, node in enumerate(entries)}
 
 
 def cut_function(aig: AIG, root: int, leaves: Sequence[int]) -> int:
@@ -169,13 +167,3 @@ def cut_function(aig: AIG, root: int, leaves: Sequence[int]) -> int:
     Iterative — safe on cones of any depth.
     """
     return traverse.cut_truth(aig, root, leaves)
-
-
-def mffc_size(aig: AIG, var: int, fanout: Sequence[int]) -> int:
-    """Size of the maximum fanout-free cone rooted at ``var``.
-
-    ``fanout`` is the fanout count array of the graph.  The MFFC is the
-    set of AND nodes that would become dead if ``var`` were removed.
-    Iterative — safe on cones of any depth.
-    """
-    return traverse.mffc_size(aig, var, fanout)

@@ -80,50 +80,64 @@ def isop(lower: int, upper: int, k: int) -> tuple[list[Cube], int]:
     (bitwise implication) and ``cover`` is an irredundant cube list
     realizing ``table``.
     """
-    if lower & ~upper & full_mask(k):
+    fm = full_mask(k)
+    if lower & ~upper & fm:
         raise ValueError("infeasible interval: lower not contained in upper")
-    cover, table = _isop(lower, upper, k, k)
-    return cover, table
+    return _isop(lower & fm, upper & fm, k)
 
 
-def _isop(lower: int, upper: int, k: int, top: int) -> tuple[list[Cube], int]:
+_EMPTY: tuple[list[Cube], int] = ([], 0)
+
+
+def _isop(lower: int, upper: int, n: int) -> tuple[list[Cube], int]:
+    """ISOP of an interval over variables ``0 .. n-1``.
+
+    Word-level: both bounds are ``2**n``-bit tables, and the recursion
+    splits on the highest variable in the support of either bound
+    after dropping the variables above it, so a cofactor is a mask and
+    a shift of a table half as wide rather than a full-width expand.
+    The split variable, the cube order and the table are those of the
+    full-width recursion.  Returns the table over ``n`` variables.
+    """
     if lower == 0:
         return [], 0
-    if upper == full_mask(k):
-        return [()], full_mask(k)
-    # Split on the highest variable in the support of either bound.
-    var = None
-    for i in reversed(range(top)):
-        if (
-            cofactor0(lower, k, i) != cofactor1(lower, k, i)
-            or cofactor0(upper, k, i) != cofactor1(upper, k, i)
-        ):
-            var = i
+    fm = full_mask(n)
+    if upper == fm:
+        return [()], fm
+    # Drop variables from the top while neither bound depends on them;
+    # the first one either bound depends on is the split variable.
+    var = n
+    while var:
+        var -= 1
+        half = 1 << var
+        low = (1 << half) - 1
+        l0, l1 = lower & low, lower >> half
+        u0, u1 = upper & low, upper >> half
+        if l0 != l1 or u0 != u1:
             break
-    if var is None:
-        # Constant interval containing 1 (upper != full handled above
-        # only when some var is in support; here lower != 0 and no
-        # support => lower == upper == full, already returned).
-        return [()], full_mask(k)
-    l0, l1 = cofactor0(lower, k, var), cofactor1(lower, k, var)
-    u0, u1 = cofactor0(upper, k, var), cofactor1(upper, k, var)
-    fm = full_mask(k)
-    # Cubes that must contain literal !var / var.
-    c0, f0 = _isop(l0 & ~u1 & fm, u0, k, var)
-    c1, f1 = _isop(l1 & ~u0 & fm, u1, k, var)
-    # Remaining minterms coverable without the split variable.
-    l_rest = (l0 & ~f0 & fm) | (l1 & ~f1 & fm)
-    cr, fr = _isop(l_rest, u0 & u1, k, var)
-    # f0 applies where var=0, f1 where var=1, fr everywhere.
-    nm = var_mask(k, var)
-    table = (f0 & ~nm & fm) | (f1 & nm) | fr
+        lower, upper = l0, u0
+    else:
+        # No support and lower != 0: the interval is the constant 1.
+        return [()], fm
+    # Sub-intervals with an empty lower bound are answered inline: a
+    # third of all calls would otherwise return ``[], 0`` at once.
+    lower = l0 & ~u1
+    c0, f0 = _isop(lower, u0, var) if lower else _EMPTY
+    lower = l1 & ~u0
+    c1, f1 = _isop(lower, u1, var) if lower else _EMPTY
+    lower = (l0 & ~f0) | (l1 & ~f1)
+    cr, fr = _isop(lower, u0 & u1, var) if lower else _EMPTY
+    table = (f0 | fr) | ((f1 | fr) << half)
+    # Widen back over the dropped variables the table does not use.
+    width = half << 1
+    while width < (1 << n):
+        table |= table << width
+        width <<= 1
+    # Every cube of a sub-cover ranges over variables below ``var``,
+    # so appending the split literal keeps it sorted.
     cover = (
-        [_extend(c, var, 0) for c in c0]
-        + [_extend(c, var, 1) for c in c1]
+        [c + ((var, 0),) for c in c0]
+        + [c + ((var, 1),) for c in c1]
         + cr
     )
     return cover, table
-
-
-def _extend(cube: Cube, var: int, value: int) -> Cube:
-    return tuple(sorted(cube + ((var, value),)))

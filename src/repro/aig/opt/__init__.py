@@ -11,8 +11,10 @@ The optimization subsystem behind :mod:`repro.aig.optimize`:
   safe on chain-shaped graphs of any depth).
 - :mod:`~repro.aig.opt.passes` — the passes: ``balance``, ``rewrite``,
   ``refactor``, ``fraig_lite`` and the ``compress`` script.
-- :mod:`~repro.aig.opt.reference` — the seed build-measure-rollback
-  passes, kept as the pinned baseline for ``bench_opt_engine.py``.
+
+The seed build-measure-rollback passes that ``bench_opt_engine.py``
+races the engine against live outside the package, in
+``tests/reference_seed_opt.py``.
 
 Submodules are imported lazily by their users to keep import edges
 acyclic (``repro.aig.build`` prices SOP polarities through

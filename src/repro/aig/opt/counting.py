@@ -19,7 +19,9 @@ return (so counting and building stay in lockstep).
 
 from __future__ import annotations
 
-from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+import sys
+
+from repro.aig.aig import AIG, CONST0, CONST1, GateOps
 
 
 class BudgetExceeded(Exception):
@@ -41,24 +43,23 @@ class VirtualBuilder(GateOps):
     ``n_new`` would exceed it.
     """
 
-    def __init__(self, aig: AIG, budget: int = None):
+    def __init__(self, aig: AIG, budget: int | None = None):
         self._real_strash = aig._strash
         self._local: dict[tuple[int, int], int] = {}
-        self._next_var = aig.num_vars
+        self._next_lit = (1 + aig.n_inputs + len(aig._fanin0)) << 1
         self.budget = budget
+        self._cap = sys.maxsize if budget is None else budget
         self.n_new = 0
 
     def add_and(self, a: int, b: int) -> int:
         # Mirror of AIG.add_and; keep the two in lockstep.
         if a > b:
             a, b = b, a
-        if a == CONST0:
-            return CONST0
-        if a == CONST1:
-            return b
+        if a <= CONST1:
+            return b if a else CONST0
         if a == b:
             return a
-        if a == lit_not(b):
+        if a ^ 1 == b:
             return CONST0
         key = (a, b)
         found = self._real_strash.get(key)
@@ -67,10 +68,10 @@ class VirtualBuilder(GateOps):
         found = self._local.get(key)
         if found is not None:
             return found
-        if self.budget is not None and self.n_new >= self.budget:
+        if self.n_new >= self._cap:
             raise BudgetExceeded
-        lit = 2 * self._next_var
-        self._next_var += 1
+        lit = self._next_lit
+        self._next_lit = lit + 2
         self._local[key] = lit
         self.n_new += 1
         return lit

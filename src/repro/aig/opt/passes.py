@@ -35,15 +35,16 @@ safe.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.aig.aig import AIG
+from repro.aig.aig import AIG, CONST0, CONST1, lit_not
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask
 from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
 from repro.aig.opt.library import NpnLibrary, get_library
-from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_leaves, mffc_size
+from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_cone
 from repro.utils.rng import rng_for
 
 
@@ -66,7 +67,9 @@ def _sync_levels(aig: AIG, lv: list[int]) -> None:
 def balance(aig: AIG) -> AIG:
     """Depth-oriented rebuild of AND trees (ABC ``balance``)."""
     fanout = aig.fanout_counts()
-    internal = _tree_internal_mask(aig, fanout)
+    # Plain lists: the loop below reads one entry per node.
+    internal = _tree_internal_mask(aig, fanout).tolist()
+    fanout = fanout.tolist()
     new = AIG(aig.n_inputs)
     lv = [0] * (aig.n_inputs + 1)
     mapping = [0] * aig.num_vars
@@ -115,7 +118,7 @@ def _tree_internal_mask(aig: AIG, fanout: np.ndarray) -> np.ndarray:
     return internal
 
 
-def _gather_and_leaves(aig: AIG, var: int, fanout: np.ndarray) -> list[int]:
+def _gather_and_leaves(aig: AIG, var: int, fanout: Sequence[int]) -> list[int]:
     """Leaves of the single-fanout AND tree rooted at ``var``.
 
     A fanin literal is expanded when it is a non-complemented AND node
@@ -149,7 +152,7 @@ def rewrite(
     ``k`` — fall back to mutation-free ISOP pricing, so the public
     ``k`` parameter keeps its old range.
     """
-    from repro.aig.build import lut_choice, sop_over_leaves
+    from repro.aig.build import lut_choice, run_sop_program
 
     lib = library if library is not None else get_library()
     node_cuts = enumerate_cuts_with_truths(aig, k=k, max_cuts=max_cuts)
@@ -160,7 +163,7 @@ def rewrite(
     base = aig.n_inputs + 1
     for j in range(aig.num_ands):
         var = base + j
-        f0, f1 = aig.fanins(var)
+        f0, f1 = aig._fanin0[j], aig._fanin1[j]
         ma, mb = _map_lit(mapping, f0), _map_lit(mapping, f1)
         probe = VirtualBuilder(new)
         direct_lit = probe.add_and(ma, mb)
@@ -203,8 +206,8 @@ def rewrite(
             if len(cut) <= lib.max_vars:
                 mapping[var] = lib.instantiate(new, table, leaf_lits)
             else:
-                _, cover, negated = lut_choice(new, table, leaf_lits)
-                lit = sop_over_leaves(new, cover, leaf_lits)
+                _, program, negated = lut_choice(new, table, leaf_lits)
+                lit = run_sop_program(new, program, leaf_lits)
                 mapping[var] = lit ^ 1 if negated else lit
     for lit in aig.outputs:
         new.set_output(_map_lit(mapping, lit))
@@ -216,10 +219,9 @@ def rewrite(
 # ---------------------------------------------------------------------
 def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
     """MFFC cone resynthesis (ABC ``refactor`` analogue)."""
-    from repro.aig.build import lut_choice, sop_over_leaves
-    from repro.aig.aig import CONST0, CONST1, lit_not
+    from repro.aig.build import lut_choice, run_sop_program
 
-    fanout = aig.fanout_counts()
+    fanout = aig.fanout_counts().tolist()
     new = AIG(aig.n_inputs)
     mapping = [0] * aig.num_vars
     for i in range(aig.n_inputs):
@@ -227,19 +229,18 @@ def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
     base = aig.n_inputs + 1
     for j in range(aig.num_ands):
         var = base + j
-        f0, f1 = aig.fanins(var)
-        leaves = ffc_leaves(aig, var, fanout, max_leaves)
-        if leaves is not None:
-            table = cut_truth(aig, var, leaves)
+        f0, f1 = aig._fanin0[j], aig._fanin1[j]
+        cone = ffc_cone(aig, var, fanout, max_leaves)
+        if cone is not None:
+            leaves, table, old_cone = cone
             fm = full_mask(len(leaves))
             if table == 0 or table == fm:
                 mapping[var] = CONST0 if table == 0 else CONST1
                 continue
-            old_cone = mffc_size(aig, var, fanout)
             mapped = [mapping[leaf] for leaf in leaves]
             choice = lut_choice(new, table, mapped, budget=old_cone)
             if choice is not None and choice[0] <= old_cone:
-                lit = sop_over_leaves(new, choice[1], mapped)
+                lit = run_sop_program(new, choice[1], mapped)
                 mapping[var] = lit_not(lit) if choice[2] else lit
                 continue
         mapping[var] = new.add_and(
@@ -334,19 +335,32 @@ def compress(aig: AIG, max_rounds: int = 3) -> AIG:
     """Iterated optimization script (``resyn2``/``compress2rs`` role).
 
     Guaranteed not to increase the used-node count.
+
+    Every pass is a deterministic function of its input graph, and
+    ``best`` only changes on a strict (ANDs, depth) decrease, so it
+    never returns to an earlier graph.  A pass that failed to improve
+    the current ``best`` would fail again on it: such passes are
+    skipped until the next accepted candidate replaces ``best``.  The
+    result is the one the plain round loop returns.
     """
     best = aig.extract_cone()
+    rejected: set = set()
     for _ in range(max_rounds):
         size_before = best.num_ands
         # No trailing rewrite (the seed script had one): the round
         # loop iterates to a fixpoint, so the next round's rewrite
         # subsumes it at half the enumeration cost.
         for pass_fn in (balance, rewrite, refactor, fraig_lite):
+            if pass_fn in rejected:
+                continue
             cand = pass_fn(best)
             if cand.num_ands < best.num_ands or (
                 cand.num_ands == best.num_ands and cand.depth() < best.depth()
             ):
                 best = cand
+                rejected.clear()
+            else:
+                rejected.add(pass_fn)
         if best.num_ands >= size_before:
             break
     return best

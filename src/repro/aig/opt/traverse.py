@@ -61,52 +61,58 @@ def cut_truth(aig: AIG, root: int, leaves: Sequence[int]) -> int:
     return values[root]
 
 
-def mffc_size(aig: AIG, var: int, fanout: Sequence[int]) -> int:
-    """Size of the maximum fanout-free cone rooted at ``var``.
-
-    ``fanout`` is the fanout count array of the graph.  The MFFC is
-    the set of AND nodes that would become dead if ``var`` were
-    removed.
-    """
-    if not aig.is_and_var(var):
-        return 0
-    counted = set()
-    stack = [(var, True)]
-    while stack:
-        v, is_root = stack.pop()
-        if v in counted or not aig.is_and_var(v):
-            continue
-        if not is_root and fanout[v] > 1:
-            continue
-        counted.add(v)
-        f0, f1 = aig.fanins(v)
-        stack.append((f0 >> 1, False))
-        stack.append((f1 >> 1, False))
-    return len(counted)
-
-
-def ffc_leaves(
+def ffc_cone(
     aig: AIG, var: int, fanout: Sequence[int], max_leaves: int
-) -> Cut | None:
-    """Leaf variables of the fanout-free cone of ``var`` (or None).
+) -> tuple[Cut, int, int] | None:
+    """Leaves, truth table and MFFC size of ``var``'s fanout-free cone.
 
-    Expands single-fanout AND fanins; everything else is a leaf.
-    Returns None when the cone has fewer than 2 or more than
-    ``max_leaves`` leaves.
+    One walk answers what the cone's leaves are, what ``var``
+    computes over them (:func:`cut_truth`) and how many nodes would
+    die with it: the size of its maximum fanout-free cone (MFFC).
+    ``fanout`` is the graph's fanout count array.  Single-fanout AND
+    fanins are expanded, everything else but the constant is a leaf;
+    the expanded nodes are reached once each (the cone is a tree) and
+    are exactly the MFFC.  Returns None when the cone has fewer than 2
+    or more than ``max_leaves`` leaves.
     """
-    leaves = set()
-    stack = [lit >> 1 for lit in aig.fanins(var)]
+    base = aig.n_inputs + 1
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    inner = [var]
+    found: set[int] = set()
+    j = var - base
+    stack = [fanin0[j] >> 1, fanin1[j] >> 1]
     while stack:
         v = stack.pop()
-        if aig.is_and_var(v) and fanout[v] == 1:
-            stack.extend(lit >> 1 for lit in aig.fanins(v))
-        elif not aig.is_const_var(v):
-            leaves.add(v)
-        if len(leaves) > max_leaves:
-            return None
-    if len(leaves) < 2:
+        if v >= base and fanout[v] == 1:
+            inner.append(v)
+            j = v - base
+            stack.append(fanin0[j] >> 1)
+            stack.append(fanin1[j] >> 1)
+        elif v:
+            found.add(v)
+            if len(found) > max_leaves:
+                return None
+    if len(found) < 2:
         return None
-    return tuple(sorted(leaves))
+    leaves = tuple(sorted(found))
+    k = len(leaves)
+    fm = full_mask(k)
+    values = {0: 0}
+    for pos, leaf in enumerate(leaves):
+        values[leaf] = var_mask(k, pos)
+    # Fanins precede their node, so ascending order is topological.
+    inner.sort()
+    for v in inner:
+        j = v - base
+        f0, f1 = fanin0[j], fanin1[j]
+        a = values[f0 >> 1]
+        if f0 & 1:
+            a ^= fm
+        b = values[f1 >> 1]
+        if f1 & 1:
+            b ^= fm
+        values[v] = a & b
+    return leaves, values[var], len(inner)
 
 
 def bounded_cut(

@@ -19,7 +19,7 @@ and this facade re-exports the passes under their historical names so
     The iterated script; never returns a graph larger than its input.
 
 The seed build-measure-rollback implementations are preserved in
-:mod:`repro.aig.opt.reference` as the benchmark baseline.
+``tests/reference_seed_opt.py`` as the benchmark baseline.
 """
 
 from __future__ import annotations
@@ -31,11 +31,5 @@ from repro.aig.opt.passes import (  # noqa: F401 - re-exported API
     refactor,
     rewrite,
 )
-from repro.aig.opt.traverse import ffc_leaves as _iterative_ffc_leaves
 
 __all__ = ["balance", "compress", "fraig_lite", "refactor", "rewrite"]
-
-
-def _ffc_leaves(aig, var, fanout, max_leaves):
-    """Backwards-compatible alias for the iterative FFC-leaf walk."""
-    return _iterative_ffc_leaves(aig, var, fanout, max_leaves)

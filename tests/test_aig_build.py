@@ -197,7 +197,7 @@ class TestLUTs:
         # one for set_output), and no dead garbage is left over.
         # The seed implementation (build-rollback-rebuild) is pinned
         # once, in the reference baseline module.
-        from repro.aig.opt.reference import _seed_lut as seed_lut
+        from tests.reference_seed_opt import RollbackAIG, _seed_lut as seed_lut
 
         for trial in range(40):
             k = int(rng.integers(1, 5))
@@ -206,7 +206,7 @@ class TestLUTs:
             version_before = aig._version
             lit = lut(aig, table, aig.input_lits())
             # Returned literal and node count unchanged vs the seed.
-            oracle = AIG(k)
+            oracle = RollbackAIG(k)
             assert lit == seed_lut(oracle, table, oracle.input_lits())
             assert aig.num_ands == oracle.num_ands
             # Each polarity built at most once: no rollbacks, no

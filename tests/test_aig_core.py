@@ -70,33 +70,6 @@ class TestConstruction:
             aig.input_lit(2)
 
 
-class TestRollback:
-    def test_rollback_removes_nodes_and_strash(self):
-        aig = AIG(3)
-        a, b, c = (aig.input_lit(i) for i in range(3))
-        aig.add_and(a, b)
-        state = aig.checkpoint()
-        aig.add_and(a, c)
-        aig.add_and(b, c)
-        aig.set_output(CONST1)
-        aig.rollback(state)
-        assert aig.num_ands == 1
-        assert aig.num_outputs == 0
-        # Strash entries for rolled-back nodes must be gone: re-adding
-        # must create a fresh (valid) node, not a dangling literal.
-        lit = aig.add_and(a, c)
-        assert lit_var(lit) < aig.num_vars
-
-    def test_rollback_keeps_prior_strash(self):
-        aig = AIG(2)
-        a, b = aig.input_lit(0), aig.input_lit(1)
-        x = aig.add_and(a, b)
-        state = aig.checkpoint()
-        aig.add_and(a, lit_not(b))
-        aig.rollback(state)
-        assert aig.add_and(a, b) == x
-
-
 class TestStructure:
     def test_levels_and_depth(self):
         aig = AIG(2)

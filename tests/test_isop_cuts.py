@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.aig.cuts import cut_function, enumerate_cuts, mffc_size
+from repro.aig.cuts import cut_function, enumerate_cuts
 from repro.aig.isop import (
     cofactor0,
     cofactor1,
@@ -15,6 +15,7 @@ from repro.aig.isop import (
     support,
     var_mask,
 )
+from repro.aig.opt.traverse import ffc_cone
 from tests.conftest import random_aig
 
 
@@ -142,22 +143,26 @@ class TestCuts:
         x = aig.add_and(a, b)
         y = aig.add_and(x, c)
         aig.set_output(y)
-        fanout = aig.fanout_counts()
-        assert mffc_size(aig, y >> 1, fanout) == 2
+        fanout = aig.fanout_counts().tolist()
+        leaves, table, mffc = ffc_cone(aig, y >> 1, fanout, 3)
+        assert (leaves, table, mffc) == ((1, 2, 3), 0b10000000, 2)
 
     def test_mffc_iterative_on_deep_chain(self):
         # Satellite regression: the recursive walk blew the Python
         # recursion limit on single-fanout chains of this depth.
         from repro.aig.aig import AIG
 
+        # The chain cycles over three inputs so its cone keeps three
+        # leaves and the truth table stays small.
         n = 5000
-        aig = AIG(n)
+        aig = AIG(3)
         acc = aig.input_lit(0)
         for i in range(1, n):
-            acc = aig.add_and(acc, aig.input_lit(i))
+            acc = aig.add_and(acc, aig.input_lit(i % 3))
         aig.set_output(acc)
-        fanout = aig.fanout_counts()
-        assert mffc_size(aig, acc >> 1, fanout) == n - 1
+        fanout = aig.fanout_counts().tolist()
+        leaves, table, mffc = ffc_cone(aig, acc >> 1, fanout, 3)
+        assert (leaves, table, mffc) == ((1, 2, 3), 0b10000000, n - 1)
 
     def test_cut_function_iterative_on_deep_cone(self):
         # Satellite regression: a 4-leaf cut of a chain over repeated
