@@ -20,11 +20,9 @@ Headline asserts: identical graphs and covers, ``compress`` >= 1.2x,
 ISOP >= 2x and ``mlp_to_aig`` >= 3x over the frozen kernels.
 """
 
-import gc
-import time
 from functools import lru_cache
 
-from _report import echo
+from _report import best_of_interleaved, echo
 from repro.aig.aig import AIG
 from repro.aig.build import _lut_programs
 from repro.aig.isop import isop
@@ -47,27 +45,6 @@ SAMPLES = 200
 
 def _structure(aig: AIG):
     return aig.n_inputs, aig._fanin0, aig._fanin1, aig.outputs
-
-
-def _best_of_interleaved(fns, repeats):
-    """Best-of timing with the candidates interleaved per round, so a
-    quiet window on a shared box benefits each of them equally.  The
-    cyclic garbage collector is paused while a candidate runs (as
-    ``timeit`` does): its passes scale with everything the process
-    holds, not with the kernel being timed."""
-    bests = [float("inf")] * len(fns)
-    results = [None] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                results[i] = fn()
-                bests[i] = min(bests[i], time.perf_counter() - start)
-            finally:
-                gc.enable()
-    return bests, results
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +100,7 @@ def test_compress_vs_frozen_kernels(benchmark):
     def frozen():
         return [_structure(reference_compress_rounds(g)) for g in graphs]
 
-    (ref_time, new_time), (ref, new) = _best_of_interleaved(
+    (ref_time, new_time), (ref, new) = best_of_interleaved(
         [_frozen(frozen), _cold(live)], repeats=5
     )
     benchmark.pedantic(_cold(live), rounds=3, iterations=1)
@@ -163,7 +140,7 @@ def _both_polarities(isop_fn, tables):
 
 def test_isop_vs_full_width(benchmark):
     tables = _refactor_tables()
-    (ref_time, new_time), (ref, new) = _best_of_interleaved(
+    (ref_time, new_time), (ref, new) = best_of_interleaved(
         [
             lambda: _both_polarities(reference_isop, tables),
             lambda: _both_polarities(isop, tables),
@@ -202,7 +179,7 @@ def test_mlp_to_aig_vs_frozen_kernels(benchmark):
     def live():
         return _structure(mlp_to_aig(mlp))
 
-    (ref_time, new_time), (ref, new) = _best_of_interleaved(
+    (ref_time, new_time), (ref, new) = best_of_interleaved(
         [_frozen(live), _cold(live)], repeats=3
     )
     benchmark.pedantic(_cold(live), rounds=3, iterations=1)

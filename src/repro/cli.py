@@ -392,8 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "or any directory of .aag files")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8080)
-    serve_p.add_argument("--tick-ms", type=float, default=2.0,
-                         help="microbatch window in milliseconds")
+    serve_p.add_argument("--tick-ms", type=float, default=0.0,
+                         help="how long a model's first queued request "
+                              "waits for more before its batch runs, in "
+                              "milliseconds (0 = the next event-loop "
+                              "turn, which still batches a burst)")
     serve_p.add_argument("--max-batch", type=int, default=4096,
                          help="flush a model's queue at this many rows")
     serve_p.add_argument("--cache-size", type=int, default=32,

@@ -13,8 +13,8 @@ Load (:mod:`repro.serve.bundle` / :mod:`repro.serve.store`)
 
 Batch (:mod:`repro.serve.batching`)
     :class:`MicroBatcher` coalesces concurrent predict requests per
-    model: a ~2 ms tick gathers a burst of single-row requests into
-    one numpy-packed engine pass
+    model: the requests that arrive in one event-loop turn become one
+    numpy-packed engine pass
     (:func:`repro.sim.batch.simulate_rows_grouped`), amortizing
     packing and per-level dispatch across every row in flight.
     Results are bit-identical to per-request evaluation.

@@ -3,18 +3,21 @@
 Single-row HTTP requests are the worst case for a vectorized engine —
 every request would pay packing, per-level dispatch and Python
 overhead for one row of work.  The :class:`MicroBatcher` closes that
-gap: requests enqueue into a per-model queue and a short *tick* timer
-(default 2 ms) is armed on the first arrival; when it fires — or as
-soon as ``max_batch`` rows are waiting — the whole queue is flushed
-as **one** grouped engine pass, and each awaiting caller receives
-exactly its own slice of the result.
+gap: requests enqueue into a per-model queue and the first arrival
+arms a flush for the next event-loop turn (or, with ``tick_s > 0``,
+after that long); when it runs — or as soon as ``max_batch`` rows are
+waiting — the whole queue is flushed as **one** grouped engine pass,
+and each awaiting caller receives exactly its own slice of the
+result.  Every request that arrives in the same loop turn as the
+first (a burst read off many connections at once) rides that pass;
+a lone request waits for nothing.
 
 Execution happens in one of two tiers:
 
 In-process (``pool=None``)
     The flush runs the engine synchronously on the event loop
     (microseconds at serving batch sizes).  Simple, zero IPC — but a
-    long pass blocks every other model's tick.
+    long pass blocks every other model's flush.
 Worker pool (``pool=``:class:`~repro.serve.pool.WorkerPool`)
     The flush stacks the queue into one matrix and dispatches it to a
     worker process; the loop keeps serving while workers burn CPU.
@@ -100,9 +103,10 @@ class MicroBatcher:
     store:
         The :class:`~repro.serve.store.ModelStore` to serve from.
     tick_s:
-        How long the first request of a batch waits for company.
-        ``0`` still coalesces bursts: the flush callback runs on the
-        next loop iteration, after every already-scheduled enqueue.
+        How long the first request of a batch waits for company.  The
+        default ``0`` flushes on the next loop iteration, after every
+        already-scheduled enqueue, so a burst is still one pass; a
+        longer window only delays a lone request.
     max_batch:
         Flush immediately once this many rows are queued for a model.
     pool:
@@ -124,7 +128,7 @@ class MicroBatcher:
     def __init__(
         self,
         store: ModelStore,
-        tick_s: float = 0.002,
+        tick_s: float = 0.0,
         max_batch: int = 4096,
         pool: WorkerPool | None = None,
         max_queued_rows: int | None = None,

@@ -25,6 +25,8 @@ from repro.sim.batch import simulate_rows_grouped
 
 PathLike = str | Path
 
+_NON_BIT_KINDS = {"U": "string", "S": "bytes", "c": "complex"}
+
 
 def validate_rows(rows: Any, n_inputs: int, name: str) -> np.ndarray:
     """Coerce ``rows`` to a strict ``(n, n_inputs)`` uint8 0/1 matrix.
@@ -37,6 +39,12 @@ def validate_rows(rows: Any, n_inputs: int, name: str) -> np.ndarray:
     rejected rather than coerced.
     """
     raw = np.asarray(rows)
+    # Only booleans and numbers are bits: the uint8 cast would parse
+    # the strings and bytes "0"/"1" (and "01", as 1) into bits, and
+    # would drop a complex value's imaginary part.
+    if raw.dtype.kind not in "biuf":
+        what = _NON_BIT_KINDS.get(raw.dtype.kind, str(raw.dtype))
+        raise ValueError(f"model {name!r} takes 0/1 rows, got {what} values")
     # The uint8 cast would silently truncate 0.9 to 0; fractional
     # (or NaN/inf) input is a caller bug, not a prediction.
     if raw.dtype.kind == "f" and not np.all(np.equal(np.mod(raw, 1), 0)):
@@ -44,13 +52,15 @@ def validate_rows(rows: Any, n_inputs: int, name: str) -> np.ndarray:
             f"model {name!r} takes 0/1 rows, got fractional values"
         )
     # The cast would also wrap 256 to 0 and 257 to 1, so numeric
-    # input is range-checked before it, on the caller's own values.
-    if raw.dtype.kind in "iuf":
+    # input is range-checked before it, on the caller's own values
+    # (integral by now, so out of range means below 0 or above 1).
+    if raw.dtype.kind in "iuf" and raw.size and (
+        raw.max() > 1 or (raw.dtype.kind != "u" and raw.min() < 0)
+    ):
         bad = raw[(raw != 0) & (raw != 1)]
-        if bad.size:
-            raise ValueError(
-                f"model {name!r} takes 0/1 rows, got value {bad[0].item()}"
-            )
+        raise ValueError(
+            f"model {name!r} takes 0/1 rows, got value {bad[0].item()}"
+        )
     try:
         mat = raw.astype(np.uint8)
     except (OverflowError, ValueError, TypeError):

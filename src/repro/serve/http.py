@@ -18,9 +18,12 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
     "outputs": [[...], ...]}``.  Outputs are bit-identical to
     ``AIG.simulate`` on the same rows — the handler only queues rows
     into the shared :class:`~repro.serve.batching.MicroBatcher`, which
-    coalesces concurrent requests into one engine pass per model per
-    tick, executed inline (``workers=0``) or on a
+    coalesces the requests that arrive in one event-loop turn into one
+    engine pass per model, executed inline (``workers=0``) or on a
     :class:`~repro.serve.pool.WorkerPool` process (``workers>0``).
+    A ``{"rows": [[0,1,...], ...]}`` body is read straight into a bit
+    matrix by :func:`_rows_from_body`; every other body goes through
+    ``json.loads``, with the same result either way.
 
 Error statuses are *classified*: a malformed request is that
 caller's 400; a saturated queue or an expired queue deadline is a 503
@@ -41,6 +44,8 @@ import json
 import threading
 import time
 from typing import Any
+
+import numpy as np
 
 from repro.serve.batching import (
     DeadlineExceeded,
@@ -89,7 +94,7 @@ class ServeApp:
     builds a :class:`~repro.serve.pool.WorkerPool` that executes each
     coalesced batch in a worker process holding its own compiled-
     circuit LRU — the loop never blocks on the engine, so independent
-    models' ticks (and all connection I/O) proceed during a pass.
+    models' flushes (and all connection I/O) proceed during a pass.
     ``max_queued_rows``/``deadline_ms`` bound each model's queue (see
     :mod:`repro.serve.batching` for the 503 semantics).
     """
@@ -97,7 +102,7 @@ class ServeApp:
     def __init__(
         self,
         store: ModelStore | str,
-        tick_s: float = 0.002,
+        tick_s: float = 0.0,
         max_batch: int = 4096,
         cache_size: int = 32,
         workers: int = 0,
@@ -257,6 +262,9 @@ class ServeApp:
             if method != "POST":
                 raise HttpError(405, "use POST /predict/{model}")
             model = path[len("/predict/") :]
+            mat = _rows_from_body(body_bytes)
+            if mat is not None:
+                return 200, await self.predict(model, {"rows": mat})
             try:
                 body = json.loads(body_bytes.decode("utf-8")) if body_bytes else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -370,6 +378,59 @@ async def _read_request(
         raise HttpError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""
     return method.upper(), path, headers, body
+
+
+_JSON_WS = b" \t\n\r"
+# Byte classes of a row grid, as a bytes.translate table: both bits
+# map to "0", the three punctuation bytes to themselves and every
+# other byte to NUL, which no row template holds.
+_GRID_CLASS = bytes(
+    ord("0") if byte in b"01" else byte if byte in b",[]" else 0
+    for byte in range(256)
+)
+
+
+def _rows_from_body(body: bytes) -> np.ndarray | None:
+    """The uint8 matrix of a ``{"rows": [[0,1,...], ...]}`` body.
+
+    The fast path of ``/predict``: the body is checked as bytes and
+    read with numpy instead of being decoded into Python lists.  It
+    answers only when ``json.loads`` followed by
+    :func:`~repro.serve.bundle.validate_rows` would give exactly the
+    same matrix, and returns ``None`` for every other body (other or
+    extra keys, other numbers, ragged or empty rows, malformed JSON),
+    which the general path then answers or rejects as before.
+    """
+    # The key is matched on the raw bytes: dropping whitespace first
+    # would turn a "r ows" key into "rows".
+    head = body.lstrip(_JSON_WS)
+    if not head.startswith(b"{"):
+        return None
+    head = head[1:].lstrip(_JSON_WS)
+    if not head.startswith(b'"rows"'):
+        return None
+    head = head[len(b'"rows"') :].lstrip(_JSON_WS)
+    if not head.startswith(b":"):
+        return None
+    # No string follows the key, so every JSON whitespace byte can
+    # go: between tokens it means nothing, and between two digits
+    # (invalid JSON) it would join them, which no template accepts.
+    text = head[1:].translate(None, _JSON_WS)
+    if not (text.startswith(b"[[") and text.endswith(b"]]}")):
+        return None
+    # "[r],[r],...,[r]," with every row "[d,d,...,d],": one period of
+    # a byte grid, fixed by where the first row closes.
+    grid = text[1:-2] + b","
+    width = grid.find(b"]") // 2
+    period = 2 * width + 2
+    n_rows, rest = divmod(len(grid), period)
+    if width < 1 or rest:
+        return None
+    template = b"[" + b"0," * (width - 1) + b"0],"
+    if grid.translate(_GRID_CLASS) != template * n_rows:
+        return None
+    cells = np.frombuffer(grid, dtype=np.uint8).reshape(n_rows, period)
+    return cells[:, 1 : 2 * width : 2] - ord("0")
 
 
 def _endpoint_label(path: str) -> str:
@@ -497,8 +558,8 @@ class ServerHandle:
             async def _graceful_stop() -> None:
                 # Answer anything still queued in the microbatcher and
                 # give the awakened handlers a beat to write their
-                # responses before the loop stops — requests parked
-                # mid-tick must not be abandoned.
+                # responses before the loop stops — requests still
+                # queued must not be abandoned.
                 self.app.batcher.flush_all()
                 await asyncio.sleep(0.05)
                 loop.stop()

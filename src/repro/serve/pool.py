@@ -2,7 +2,7 @@
 
 The single-loop server has one structural limit: an engine pass is
 CPU-bound numpy work, so while one model's batch simulates, every
-other model's tick — and every connection's I/O — waits.  The
+other model's flush — and every connection's I/O — waits.  The
 :class:`WorkerPool` moves those passes off the event loop into a pool
 of worker processes, turning the loop into what it should be: pure
 coordination (parse, validate, coalesce, split, respond).

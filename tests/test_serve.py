@@ -235,6 +235,13 @@ def test_predict_rejects_non_binary_values(model_store):
     )
     with pytest.raises(ValueError):
         circuit.predict([[-1] * 16])
+    # Strings and bytes are not bits, even when they spell one: the
+    # uint8 cast would read "1" as 1 and "01" as 1.
+    for text_row in (["0", "1"] * 8, [1] * 15 + ["01"], [b"1"] * 16):
+        with pytest.raises(ValueError, match="string|bytes"):
+            circuit.predict([text_row])
+    with pytest.raises(ValueError, match="complex"):
+        circuit.predict(np.ones((1, 16), dtype=complex))
 
 
 def test_model_store_info_does_not_compile(run_store_dir):
@@ -293,6 +300,31 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
     assert batcher.rows_served == 8
 
 
+def test_microbatcher_default_flushes_a_burst_in_one_pass(model_store):
+    """With no window (the default), the flush runs on the next loop
+    turn: a burst enqueued in one turn is still one engine pass, and
+    a lone request is answered without waiting for company."""
+    circuit = model_store.load("ex74")
+    rows = _random_rows(64, circuit.n_inputs, seed=5)
+    expected = circuit.predict(rows)
+
+    async def drive():
+        batcher = MicroBatcher(model_store)
+        assert batcher.tick_s == 0
+        outs = await asyncio.gather(
+            *(batcher.predict("ex74", rows[i]) for i in range(len(rows)))
+        )
+        lone = await batcher.predict("ex74", rows[:3])
+        return batcher, outs, lone
+
+    batcher, outs, lone = asyncio.run(drive())
+    for i, out in enumerate(outs):
+        assert np.array_equal(out[0], expected[i])
+    assert np.array_equal(lone, expected[:3])
+    assert batcher.batches == 2
+    assert batcher.max_coalesced == 64
+
+
 def test_microbatcher_max_batch_flushes_early(model_store):
     circuit = model_store.load("ex74")
     rows = _random_rows(8, circuit.n_inputs, seed=4)
@@ -333,7 +365,7 @@ def test_microbatcher_rejects_bad_rows_before_enqueue(model_store):
 
 @pytest.fixture()
 def served(model_store):
-    app = ServeApp(model_store, tick_s=0.002)
+    app = ServeApp(model_store)  # default settings, as `repro serve`
     with ServerHandle(app) as handle:
         yield handle
 
@@ -450,6 +482,13 @@ def test_http_rejects_non_binary_rows(served):
         served, "POST", "/predict/ex74", json.dumps({"row": [0.9] * 16})
     )
     assert status == 400 and "fractional" in body["error"]
+    # JSON strings are not bits, even when they spell one.
+    for row in (["0", "1"] * 8, [1, "1"] + [0] * 14):
+        status, body = _request(
+            served, "POST", "/predict/ex74",
+            json.dumps({"rows": [row]}, sort_keys=True),
+        )
+        assert status == 400 and "string values" in body["error"], row
 
 
 def test_http_malformed_content_length_gets_400(served):
@@ -542,6 +581,9 @@ def test_serve_cli_parser():
     )
     assert args.command == "serve"
     assert args.port == 9000 and args.tick_ms == 1.0
+    # By default a batch runs on the next event-loop turn.
+    args = build_parser().parse_args(["serve", "--store", "runs/x"])
+    assert args.tick_ms == 0.0
 
 
 # ---------------------------------------------------------------------------
